@@ -49,7 +49,8 @@ benchcheck:
 	$(GO) run ./cmd/dynnbench -benchjson bench-current.json \
 		-benchbaseline $(BENCH_BASELINE) -benchregress $(BENCH_REGRESS)
 
-# Native Go fuzzing of graph resolution and the Sentinel partitioner. Each
+# Native Go fuzzing of graph resolution, the Sentinel partitioner, plan
+# signatures, and the pilot's nearest-path scan against a naive scan. Each
 # -fuzz pattern needs its own go test invocation; seed corpora live under the
 # packages' testdata/fuzz/. CI runs this with a short FUZZTIME as a smoke
 # pass; raise it locally to dig (e.g. make fuzz FUZZTIME=10m).
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime $(FUZZTIME) ./internal/dynn
 	$(GO) test -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime $(FUZZTIME) ./internal/sentinel
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanSignature$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzNearestPath$$' -fuzztime $(FUZZTIME) ./internal/pilot
 
 # Coverage gate over the internal packages: fails below COVER_MIN% total.
 # Leaves coverage.out behind for inspection / CI artifact upload.

@@ -35,15 +35,38 @@ func Scale(alpha float64, x []float64) {
 }
 
 // MatVec computes out = A·x where A is rows×cols row-major.
+//
+// Each out[r] is summed left to right over its row, exactly like a plain
+// per-row dot product, so results are bit-identical to one. Four rows share a
+// pass with four independent accumulators: the adds of different rows
+// overlap in the pipeline instead of waiting on one serial chain. The rows
+// are re-sliced to len(x) so the compiler drops the bounds checks.
 func MatVec(a []float64, rows, cols int, x, out []float64) {
 	if len(a) != rows*cols || len(x) != cols || len(out) != rows {
 		panic("mathx: MatVec shape mismatch") //dynnlint:ignore panicfree shape mismatch is a caller bug; hot-path kernel fails fast like stdlib
 	}
-	for r := 0; r < rows; r++ {
-		row := a[r*cols : (r+1)*cols]
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		base := r * cols
+		r0 := a[base : base+cols]
+		r1 := a[base+cols : base+2*cols]
+		r2 := a[base+2*cols : base+3*cols]
+		r3 := a[base+3*cols : base+4*cols]
+		r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
+		var s0, s1, s2, s3 float64
+		for c, xv := range x {
+			s0 += r0[c] * xv
+			s1 += r1[c] * xv
+			s2 += r2[c] * xv
+			s3 += r3[c] * xv
+		}
+		out[r], out[r+1], out[r+2], out[r+3] = s0, s1, s2, s3
+	}
+	for ; r < rows; r++ {
+		row := a[r*cols : (r+1)*cols][:len(x)]
 		var s float64
-		for c, v := range row {
-			s += v * x[c]
+		for c, xv := range x {
+			s += row[c] * xv
 		}
 		out[r] = s
 	}

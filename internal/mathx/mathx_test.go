@@ -48,6 +48,32 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
+// TestMatVecMatchesNaiveDot pins MatVec's exactness contract: every output
+// equals a plain left-to-right per-row dot product bit for bit, whatever
+// rows % 4 leaves for the scalar tail.
+func TestMatVecMatchesNaiveDot(t *testing.T) {
+	rng := NewRNG(41)
+	for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 128} {
+		for _, cols := range []int{0, 1, 107} {
+			a := make([]float64, rows*cols)
+			x := make([]float64, cols)
+			rng.NormVec(a, 1)
+			rng.NormVec(x, 3)
+			out := make([]float64, rows)
+			MatVec(a, rows, cols, x, out)
+			for r := 0; r < rows; r++ {
+				var want float64
+				for c := 0; c < cols; c++ {
+					want += a[r*cols+c] * x[c]
+				}
+				if math.Float64bits(out[r]) != math.Float64bits(want) {
+					t.Fatalf("rows=%d cols=%d: out[%d] = %v, naive dot %v", rows, cols, r, out[r], want)
+				}
+			}
+		}
+	}
+}
+
 func TestMatVecTIsTranspose(t *testing.T) {
 	rng := NewRNG(1)
 	rows, cols := 5, 7

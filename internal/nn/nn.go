@@ -188,12 +188,31 @@ func (m *MLP) Forward(in []float64) []float64 {
 // run concurrently on one MLP (the weights are read-only here). Training
 // (TrainStep) must not run concurrently with Infer.
 func (m *MLP) Infer(in []float64) []float64 {
+	return m.InferInto(in, make([]float64, m.InferScratchLen()))
+}
+
+// InferScratchLen returns the scratch length InferInto needs: one element
+// per output of every layer.
+func (m *MLP) InferScratchLen() int {
+	n := 0
+	for _, l := range m.Layers {
+		n += l.Out
+	}
+	return n
+}
+
+// InferInto runs inference like Infer but keeps every layer's activations in
+// the caller's scratch (at least InferScratchLen long), so a caller that
+// reuses its scratch runs inference without allocating. The returned output
+// is a sub-slice of scratch, valid until the scratch is reused.
+func (m *MLP) InferInto(in, scratch []float64) []float64 {
 	if len(in) != m.InputSize() {
 		panic(fmt.Sprintf("nn: Infer input width %d, want %d", len(in), m.InputSize())) //dynnlint:ignore panicfree width mismatch is a caller bug; hot-path kernel fails fast like stdlib
 	}
 	cur := in
 	for _, l := range m.Layers {
-		out := make([]float64, l.Out)
+		out := scratch[:l.Out]
+		scratch = scratch[l.Out:]
 		l.Forward(cur, out)
 		cur = out
 	}

@@ -236,56 +236,6 @@ func (ctx *ModelContext) TruthPath(s *dynn.Sample) (*PathInfo, error) {
 	return info, nil
 }
 
-// MatchOutput maps a predicted pilot output (the per-block descriptor rows)
-// to the nearest path (§IV-B traverse-and-match). The per-block rows — not
-// just their aggregate — carry positional information, which is what lets the
-// traverse distinguish paths that activate the same components in different
-// orders.
-func (ctx *ModelContext) MatchOutput(predLabel []float64) (*PathInfo, bool) {
-	var best *PathInfo
-	bestDist := -1.0
-	for _, info := range ctx.Paths {
-		d := labelDistance(info.Label, predLabel)
-		if bestDist < 0 || d < bestDist {
-			bestDist = d
-			best = info
-		}
-	}
-	return best, bestDist < graph.MatchTolerance
-}
-
-// labelDistance is the mean per-element relative error between two label
-// vectors.
-func labelDistance(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	var d float64
-	for i := 0; i < n; i++ {
-		num := a[i] - b[i]
-		if num < 0 {
-			num = -num
-		}
-		den := 1.0
-		if x := abs(a[i]); x > den {
-			den = x
-		}
-		if x := abs(b[i]); x > den {
-			den = x
-		}
-		d += num / den
-	}
-	return d / float64(n)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // AggregateFromLabel converts a (predicted) label vector into the aggregate
 // bookkeeping record used for path matching: element 0 sums to the operator
 // count, elements 1..9 of each row sum into the signature aggregate.

@@ -101,6 +101,6 @@ func LoadWithMeta(r io.Reader) (*Pilot, map[string]string, error) {
 	}
 	p.featMean, p.featStd = in.FeatMean, in.FeatStd
 	p.labelMean, p.labelStd = in.LabelMean, in.LabelStd
-	p.normLabels = map[*ModelContext][][]float64{}
+	p.normLabels = map[*ModelContext][]float64{}
 	return p, in.Meta, nil
 }

@@ -78,16 +78,26 @@ type Pilot struct {
 	// pilot's normalized label space, where output→path matching happens:
 	// standardization amplifies exactly the dimensions that discriminate
 	// paths, making the match robust to regression noise on the large
-	// non-discriminative descriptor elements. Guarded by normMu so Resolve
-	// is safe to call from many goroutines at once.
+	// non-discriminative descriptor elements. Each context's labels sit
+	// back to back in one paths×width slice, the layout nearestPath scans.
+	// Guarded by normMu so Resolve is safe to call from many goroutines at
+	// once.
 	normMu     sync.RWMutex
-	normLabels map[*ModelContext][][]float64
+	normLabels map[*ModelContext][]float64
+
+	// scratch pools inference buffers (*[]float64: normalized features,
+	// then the MLP's activations), one per in-flight Predict or Resolve, so
+	// a warm call allocates only the output it returns. Clone starts a
+	// fresh pool. It is a separate object because the runtime keeps a used
+	// pool reachable until two GCs later: embedded, it would keep a
+	// discarded pilot's weights alive that long too.
+	scratch *sync.Pool
 }
 
 // New constructs an untrained pilot model.
 func New(cfg Config) *Pilot {
 	cfg.defaults()
-	p := &Pilot{Cfg: cfg}
+	p := &Pilot{Cfg: cfg, scratch: new(sync.Pool)}
 	rng := mathx.NewRNG(cfg.Seed)
 	in := cfg.Features.Width()
 	out := cfg.MaxBlocks * sentinel.DescriptorLen
@@ -172,7 +182,7 @@ func (p *Pilot) Train(examples []*Example) TrainResult {
 	sw := obsv.StartTimer()
 	p.fitScalers(examples)
 	p.normMu.Lock()
-	p.normLabels = map[*ModelContext][][]float64{}
+	p.normLabels = map[*ModelContext][]float64{}
 	p.normMu.Unlock()
 	rng := mathx.NewRNG(p.Cfg.Seed ^ 0x7e41)
 
@@ -212,7 +222,7 @@ func (p *Pilot) Trained() bool { return p.featMean != nil }
 // serving feedback loop never mutates the offline-trained pilot the training
 // engines share.
 func (p *Pilot) Clone() *Pilot {
-	c := &Pilot{Cfg: p.Cfg}
+	c := &Pilot{Cfg: p.Cfg, scratch: new(sync.Pool)}
 	for i, m := range p.mlps {
 		c.mlps[i] = m.Clone()
 	}
@@ -221,7 +231,7 @@ func (p *Pilot) Clone() *Pilot {
 	c.labelMean = append([]float64(nil), p.labelMean...)
 	c.labelStd = append([]float64(nil), p.labelStd...)
 	if p.Trained() {
-		c.normLabels = map[*ModelContext][][]float64{}
+		c.normLabels = map[*ModelContext][]float64{}
 	}
 	return c
 }
@@ -285,12 +295,26 @@ func (p *Pilot) Predict(base dynn.BaseType, features []float64) ([]float64, time
 		return nil, 0, fmt.Errorf("pilot: Predict before Train: %w", ErrNotTrained)
 	}
 	sw := obsv.StartTimer()
-	fbuf := make([]float64, len(features))
-	normalize(features, p.featMean, p.featStd, fbuf)
-	raw := p.mlps[int(base)].Infer(fbuf)
+	raw, buf := p.inferNorm(base, features)
 	out := make([]float64, len(raw))
 	denormalize(raw, p.labelMean, p.labelStd, out)
+	p.scratch.Put(buf)
 	return out, sw.Elapsed(), nil
+}
+
+// inferNorm normalizes features and runs the base type's MLP on them in
+// pooled scratch. The returned normalized output aliases *buf; the caller
+// puts buf back into p.scratch once it is done with the output.
+func (p *Pilot) inferNorm(base dynn.BaseType, features []float64) ([]float64, *[]float64) {
+	m := p.mlps[int(base)]
+	buf, ok := p.scratch.Get().(*[]float64)
+	if !ok {
+		s := make([]float64, m.InputSize()+m.InferScratchLen())
+		buf = &s
+	}
+	fbuf := (*buf)[:len(features)]
+	normalize(features, p.featMean, p.featStd, fbuf)
+	return m.InferInto(fbuf, (*buf)[m.InputSize():]), buf
 }
 
 // Resolution is the result of one pilot inference plus output→path mapping.
@@ -307,20 +331,21 @@ type Resolution struct {
 const exactMatchRMS = 0.35
 
 // pathLabelsNorm returns (building on first use) the context's path labels in
-// the pilot's normalized label space. Safe for concurrent use: the projection
-// is computed outside the lock and the first writer wins.
-func (p *Pilot) pathLabelsNorm(ctx *ModelContext) [][]float64 {
+// the pilot's normalized label space, back to back in one paths×width slice.
+// Safe for concurrent use: the projection is computed outside the lock and
+// the first writer wins.
+func (p *Pilot) pathLabelsNorm(ctx *ModelContext) []float64 {
 	p.normMu.RLock()
 	cached, ok := p.normLabels[ctx]
 	p.normMu.RUnlock()
 	if ok {
 		return cached
 	}
-	out := make([][]float64, len(ctx.Paths))
-	for i, info := range ctx.Paths {
-		nl := make([]float64, len(info.Label))
-		normalize(info.Label, p.labelMean, p.labelStd, nl)
-		out[i] = nl
+	var out []float64
+	for _, info := range ctx.Paths {
+		n := len(out)
+		out = append(out, info.Label...)
+		normalize(info.Label, p.labelMean, p.labelStd, out[n:])
 	}
 	p.normMu.Lock()
 	defer p.normMu.Unlock()
@@ -341,28 +366,16 @@ func (p *Pilot) Resolve(e *Example) (Resolution, error) {
 		return Resolution{}, fmt.Errorf("pilot: Resolve before Train: %w", ErrNotTrained)
 	}
 	sw := obsv.StartTimer()
-	fbuf := make([]float64, len(e.Features))
-	normalize(e.Features, p.featMean, p.featStd, fbuf)
-	predNorm := p.mlps[int(e.Base)].Infer(fbuf)
+	predNorm, buf := p.inferNorm(e.Base, e.Features)
 	inferNS := sw.ElapsedNS()
 
 	mapSW := obsv.StartTimer()
-	candidates := p.pathLabelsNorm(e.Ctx)
-	bestIdx, bestDist := -1, 0.0
-	for i, cand := range candidates {
-		var d float64
-		for j := range cand {
-			diff := predNorm[j] - cand[j]
-			d += diff * diff
-		}
-		if bestIdx < 0 || d < bestDist {
-			bestIdx, bestDist = i, d
-		}
-	}
+	bestIdx, bestDist := nearestPath(p.pathLabelsNorm(e.Ctx), len(e.Ctx.Paths), predNorm)
 	mapNS := mapSW.ElapsedNS()
 
 	out := make([]float64, len(predNorm))
 	denormalize(predNorm, p.labelMean, p.labelStd, out)
+	p.scratch.Put(buf)
 	res := Resolution{Output: out, InferNS: inferNS, MapNS: mapNS}
 	if bestIdx >= 0 {
 		res.Path = e.Ctx.Paths[bestIdx]
@@ -370,6 +383,66 @@ func (p *Pilot) Resolve(e *Example) (Resolution, error) {
 		res.Exact = rms < exactMatchRMS*exactMatchRMS
 	}
 	return res, nil
+}
+
+// nearestPath returns the index of the path label nearest pred in squared
+// Euclidean distance, with that distance, or (-1, 0) when n is 0. labels
+// holds n labels of equal width back to back; pred may be longer than the
+// width, and only its first width elements are compared.
+//
+// The result, index and distance bits alike, equals a naive scan that sums
+// each candidate's squared differences left to right and keeps the first
+// strictly smaller one. Each candidate here is summed in that same order and
+// ties still go to the lowest index. Four candidates share a pass, and at
+// every descriptor-row boundary the pass abandons the group once all four
+// partial sums are >= the best distance so far: the remaining terms are
+// non-negative and rounding is monotone, so no full sum could come out
+// strictly smaller.
+func nearestPath(labels []float64, n int, pred []float64) (int, float64) {
+	if n == 0 {
+		return -1, 0
+	}
+	w := len(labels) / n
+	pred = pred[:w]
+	best, bestDist := -1, 0.0
+groups:
+	for i := 0; i < n; i += 4 {
+		// Lanes past the last path re-score path i: their partial sums
+		// equal d0, so they never change the early-exit test, and they are
+		// never committed.
+		c0 := labels[i*w : (i+1)*w]
+		c1, c2, c3 := c0, c0, c0
+		if i+1 < n {
+			c1 = labels[(i+1)*w : (i+2)*w]
+		}
+		if i+2 < n {
+			c2 = labels[(i+2)*w : (i+3)*w]
+		}
+		if i+3 < n {
+			c3 = labels[(i+3)*w : (i+4)*w]
+		}
+		var d0, d1, d2, d3 float64
+		for j := 0; j < w; j += sentinel.DescriptorLen {
+			row := pred[j:min(j+sentinel.DescriptorLen, w)]
+			r0, r1, r2, r3 := c0[j:][:len(row)], c1[j:][:len(row)], c2[j:][:len(row)], c3[j:][:len(row)]
+			for k, v := range row {
+				t0, t1, t2, t3 := v-r0[k], v-r1[k], v-r2[k], v-r3[k]
+				d0 += t0 * t0
+				d1 += t1 * t1
+				d2 += t2 * t2
+				d3 += t3 * t3
+			}
+			if best >= 0 && d0 >= bestDist && d1 >= bestDist && d2 >= bestDist && d3 >= bestDist {
+				continue groups
+			}
+		}
+		for k, d := range [4]float64{d0, d1, d2, d3} {
+			if i+k < n && (best < 0 || d < bestDist) {
+				best, bestDist = i+k, d
+			}
+		}
+	}
+	return best, bestDist
 }
 
 // ConfusedPair is one (truth path, predicted path) mis-prediction bucket.
