@@ -4,7 +4,7 @@ COVER_MIN ?= 70
 BENCH_BASELINE ?= BENCH_PR10.json
 BENCH_REGRESS ?= 25
 
-.PHONY: build test check race race-full fmt vet lint bench benchcheck fuzz cover trace serve-smoke cluster-smoke
+.PHONY: build test check race race-full fmt vet lint bench benchcheck perfbench-test fuzz cover trace serve-smoke cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -49,8 +49,15 @@ benchcheck:
 	$(GO) run ./cmd/dynnbench -benchjson bench-current.json \
 		-benchbaseline $(BENCH_BASELINE) -benchregress $(BENCH_REGRESS)
 
+# The whole-run benchmark's own tests (its statistics and the
+# BENCHMARK.json <-> metric catalog check). perfbench is a separate module
+# that replaces dynnoffload with this checkout, so it builds from here.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Native Go fuzzing of graph resolution, the Sentinel partitioner, plan
-# signatures, and the pilot's nearest-path scan against a naive scan. Each
+# signatures, the pilot's nearest-path scan against a naive scan, and the
+# GPU residency pool against a map-backed model. Each
 # -fuzz pattern needs its own go test invocation; seed corpora live under the
 # packages' testdata/fuzz/. CI runs this with a short FUZZTIME as a smoke
 # pass; raise it locally to dig (e.g. make fuzz FUZZTIME=10m).
@@ -59,6 +66,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime $(FUZZTIME) ./internal/sentinel
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanSignature$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzNearestPath$$' -fuzztime $(FUZZTIME) ./internal/pilot
+	$(GO) test -run '^$$' -fuzz '^FuzzMemPool$$' -fuzztime $(FUZZTIME) ./internal/gpusim
 
 # Coverage gate over the internal packages: fails below COVER_MIN% total.
 # Leaves coverage.out behind for inspection / CI artifact upload.

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"dynnoffload/internal/graph"
 	"dynnoffload/internal/pilot"
+	"dynnoffload/internal/trace"
 )
 
 // This file implements dynamic batching (§IV-E "Impact of dynamic batching
@@ -16,52 +16,10 @@ import (
 //  2. batched operators run longer on the GPU, giving migration *more* room
 //     to hide — batching does not compromise DyNN-Offload's effectiveness.
 
-// BatchedOp is one merged operator: Count graphs execute an operator with
-// this signature at this depth.
-type BatchedOp struct {
-	Name  string
-	Depth int
-	Count int
-	// FLOPs and Bytes are the summed single-graph costs.
-	FLOPs int64
-	Bytes int64
-}
-
 // BatchInterference inflates the arithmetic portion of a batched kernel:
 // the paper notes batched operators run longer due to extra cache misses
 // from thread-block scheduling [77] and TLB misses [13].
 const BatchInterference = 1.1
-
-// DynamicBatch merges the resolved forward graphs of several samples by
-// (depth, operator name) — operators of the same kind at the same depth
-// fuse into one launch.
-func DynamicBatch(graphs []*graph.Resolved) []BatchedOp {
-	type key struct {
-		depth int
-		name  string
-	}
-	order := []key{}
-	merged := map[key]*BatchedOp{}
-	for _, g := range graphs {
-		for depth, op := range g.Ops {
-			k := key{depth, op.Name}
-			b, ok := merged[k]
-			if !ok {
-				b = &BatchedOp{Name: op.Name, Depth: depth}
-				merged[k] = b
-				order = append(order, k)
-			}
-			b.Count++
-			b.FLOPs += op.FLOPs
-			b.Bytes += op.Bytes()
-		}
-	}
-	out := make([]BatchedOp, 0, len(order))
-	for _, k := range order {
-		out = append(out, *merged[k])
-	}
-	return out
-}
 
 // BatchedKernelTimeNS models one batched launch: the kernel-launch overhead
 // is paid once instead of count times (the benefit of batching), while the
@@ -86,24 +44,42 @@ type BatchingReport struct {
 
 // SimulateDynamicBatch evaluates the batching benefit for a set of samples
 // of one model context (forward pass, which is where graphs differ).
+// Operators of the same name at the same depth fuse into one launch. Each
+// path's operators come from its trace, compiled once at context build, so
+// a call neither hashes nor allocates; every total is an int64 sum, so the
+// order the merged groups are priced in cannot change the report.
 func (e *Engine) SimulateDynamicBatch(infos []*pilot.PathInfo) BatchingReport {
-	var rep BatchingReport
-	rep.Graphs = len(infos)
-	var graphs []*graph.Resolved
-	for _, info := range infos {
-		g := &graph.Resolved{Ops: info.Iteration.Forward}
-		graphs = append(graphs, g)
-		for _, op := range g.Ops {
+	rep := BatchingReport{Graphs: len(infos)}
+	launch := e.CM.Dev.LaunchNS
+	for i, info := range infos {
+		for depth, r := range forwardRecords(info) {
 			rep.SequentialOps++
-			rep.SequentialNS += e.CM.OpTime(op)
+			rep.SequentialNS += e.CM.KernelNS(r.FLOPs, r.Bytes)
+			count, flops := 0, int64(0)
+			for j, other := range infos {
+				o := forwardRecords(other)
+				if depth >= len(o) || o[depth].Name != r.Name {
+					continue
+				}
+				if j < i {
+					break // the group was priced with graph j
+				}
+				count++
+				flops += o[depth].FLOPs
+			}
+			if count > 0 {
+				rep.BatchedLaunches++
+				single := e.CM.KernelNS(flops/int64(count), 0)
+				rep.BatchedNS += BatchedKernelTimeNS(single, launch, count)
+			}
 		}
 	}
-	batched := DynamicBatch(graphs)
-	rep.BatchedLaunches = len(batched)
-	launch := e.CM.Dev.LaunchNS
-	for _, b := range batched {
-		single := e.CM.OpTime(&graph.Op{Name: b.Name, FLOPs: b.FLOPs / int64(b.Count)})
-		rep.BatchedNS += BatchedKernelTimeNS(single, launch, b.Count)
-	}
 	return rep
+}
+
+// forwardRecords returns the trace records of a path's forward pass: a trace
+// lists the iteration's forward operators first, each with its FLOPs and
+// Bytes().
+func forwardRecords(info *pilot.PathInfo) []trace.OpRecord {
+	return info.Trace.Records[:len(info.Iteration.Forward)]
 }

@@ -89,7 +89,8 @@ func (e *Engine) simulatePipelined(an *sentinel.Analysis, blocks []sentinel.Bloc
 		return bd, nil
 	}
 
-	pool := gpusim.NewMemPool(e.Cfg.Platform.GPU.MemBytes)
+	pool := gpusim.AcquireMemPool(e.Cfg.Platform.GPU.MemBytes)
+	defer gpusim.ReleaseMemPool(pool)
 	streams := gpusim.NewStreams(gpusim.WithFaultStream(fs))
 	none := sentinel.Block{}
 

@@ -17,10 +17,12 @@ func NewCostModel(p Platform) CostModel {
 
 // OpTime returns the execution time of an operator in virtual nanoseconds.
 func (c CostModel) OpTime(op *graph.Op) int64 {
-	return c.opTime(op.FLOPs, op.Bytes())
+	return c.KernelNS(op.FLOPs, op.Bytes())
 }
 
-func (c CostModel) opTime(flops, bytes int64) int64 {
+// KernelNS is OpTime from an operator's FLOPs and memory traffic alone, for
+// callers that hold those figures (a trace record) rather than the operator.
+func (c CostModel) KernelNS(flops, bytes int64) int64 {
 	ct := float64(flops) / (c.Dev.FLOPS * c.Dev.ComputeEff) * 1e9
 	mt := float64(bytes) / (c.Dev.MemBW * c.Dev.BandwidthEff) * 1e9
 	t := ct

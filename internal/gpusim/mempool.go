@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -14,16 +15,19 @@ import (
 // slots. Reset rewinds the arena without releasing its storage, which is what
 // lets the runtime reuse one pool across millions of simulated samples (see
 // AcquireMemPool) instead of allocating list nodes and maps per sample.
+// Residency is a slice indexed by tensor ID: tensor.Registry numbers a
+// model's tensors from 1, so it grows to the largest model's tensor count
+// (18,300 for the zoo's MoE). Negative IDs are never resident.
 type MemPool struct {
 	Capacity int64
 
 	used    int64
 	peak    int64
-	entries []poolEntry     // arena; linked by index
-	free    []int32         // recycled arena slots
-	head    int32           // LRU front = oldest (-1 when empty)
-	tail    int32           // LRU back = newest (-1 when empty)
-	index   map[int64]int32 // tensor id -> arena slot
+	entries []poolEntry // arena; linked by index
+	free    []int32     // recycled arena slots
+	head    int32       // LRU front = oldest (-1 when empty)
+	tail    int32       // LRU back = newest (-1 when empty)
+	index   []int32     // tensor id -> arena slot+1; 0 = not resident
 	pinned  map[int64]bool
 }
 
@@ -39,22 +43,26 @@ func NewMemPool(capacity int64) *MemPool {
 		Capacity: capacity,
 		head:     -1,
 		tail:     -1,
-		index:    map[int64]int32{},
 		pinned:   map[int64]bool{},
 	}
 }
 
-// Reset rewinds the pool to empty with a new capacity, keeping the arena and
-// map storage for reuse. Every observable property — residency, usage, peak,
-// pins — returns to the state of a freshly constructed pool.
+// Reset rewinds the pool to empty with a new capacity, keeping the arena,
+// index, and map storage for reuse. Every observable property — residency,
+// usage, peak, pins — returns to the state of a freshly constructed pool.
+// Only index entries the arena names can be set, so only those are zeroed.
 func (p *MemPool) Reset(capacity int64) {
 	p.Capacity = capacity
 	p.used = 0
 	p.peak = 0
+	for i := range p.entries {
+		if id := p.entries[i].id; id >= 0 && id < int64(len(p.index)) {
+			p.index[id] = 0
+		}
+	}
 	p.entries = p.entries[:0]
 	p.free = p.free[:0]
 	p.head, p.tail = -1, -1
-	clear(p.index)
 	clear(p.pinned)
 }
 
@@ -67,16 +75,21 @@ func (p *MemPool) Peak() int64 { return p.peak }
 // Free returns remaining capacity.
 func (p *MemPool) Free() int64 { return p.Capacity - p.used }
 
-// Resident reports whether tensor id is on the GPU.
-func (p *MemPool) Resident(id int64) bool {
-	_, ok := p.index[id]
-	return ok
+// slot returns the arena slot holding tensor id, or -1 if not resident.
+func (p *MemPool) slot(id int64) int32 {
+	if id < 0 || id >= int64(len(p.index)) {
+		return -1
+	}
+	return p.index[id] - 1
 }
+
+// Resident reports whether tensor id is on the GPU.
+func (p *MemPool) Resident(id int64) bool { return p.slot(id) >= 0 }
 
 // ResidentBytes returns the size recorded for a resident tensor (0 if not
 // resident).
 func (p *MemPool) ResidentBytes(id int64) int64 {
-	if slot, ok := p.index[id]; ok {
+	if slot := p.slot(id); slot >= 0 {
 		return p.entries[slot].bytes
 	}
 	return 0
@@ -111,11 +124,14 @@ func (p *MemPool) pushBack(slot int32) {
 }
 
 // Add makes tensor id resident. It returns an error if capacity would be
-// exceeded — the caller must evict first.
+// exceeded — the caller must evict first — or if id is negative.
 func (p *MemPool) Add(id, bytes int64) error {
 	if p.Resident(id) {
 		p.Touch(id)
 		return nil
+	}
+	if id < 0 {
+		return fmt.Errorf("gpusim: negative tensor id %d", id)
 	}
 	if p.used+bytes > p.Capacity {
 		return fmt.Errorf("gpusim: pool full: need %d, free %d", bytes, p.Free())
@@ -130,7 +146,10 @@ func (p *MemPool) Add(id, bytes int64) error {
 		p.entries = append(p.entries, poolEntry{id: id, bytes: bytes, prev: -1, next: -1})
 	}
 	p.pushBack(slot)
-	p.index[id] = slot
+	if n := int(id) + 1; n > len(p.index) {
+		p.index = slices.Grow(p.index, n-len(p.index))[:n]
+	}
+	p.index[id] = slot + 1
 	p.used += bytes
 	if p.used > p.peak {
 		p.peak = p.used
@@ -140,14 +159,14 @@ func (p *MemPool) Add(id, bytes int64) error {
 
 // Remove evicts tensor id, returning its byte size (0 if absent).
 func (p *MemPool) Remove(id int64) int64 {
-	slot, ok := p.index[id]
-	if !ok {
+	slot := p.slot(id)
+	if slot < 0 {
 		return 0
 	}
 	bytes := p.entries[slot].bytes
 	p.unlink(slot)
 	p.free = append(p.free, slot)
-	delete(p.index, id)
+	p.index[id] = 0
 	delete(p.pinned, id)
 	p.used -= bytes
 	return bytes
@@ -155,7 +174,7 @@ func (p *MemPool) Remove(id int64) int64 {
 
 // Touch marks tensor id most-recently-used.
 func (p *MemPool) Touch(id int64) {
-	if slot, ok := p.index[id]; ok && slot != p.tail {
+	if slot := p.slot(id); slot >= 0 && slot != p.tail {
 		p.unlink(slot)
 		p.pushBack(slot)
 	}
@@ -191,17 +210,17 @@ func (p *MemPool) Victims(need int64, keep func(id int64) bool) []int64 {
 
 // ResidentIDs returns all resident tensor IDs in LRU order.
 func (p *MemPool) ResidentIDs() []int64 {
-	out := make([]int64, 0, len(p.index))
+	out := make([]int64, 0, len(p.entries)-len(p.free))
 	for slot := p.head; slot >= 0; slot = p.entries[slot].next {
 		out = append(out, p.entries[slot].id)
 	}
 	return out
 }
 
-// memPools recycles MemPools across simulated samples. The arena and maps
-// keep their storage between uses; Reset restores the observable zero state
-// on every release, so a recycled pool is indistinguishable from a fresh one
-// (pinned by the pool-hygiene tests).
+// memPools recycles MemPools across simulated samples. The arena, index, and
+// pin map keep their storage between uses; Reset restores the observable
+// zero state on every release, so a recycled pool is indistinguishable from
+// a fresh one (pinned by the pool-hygiene tests).
 var memPools = sync.Pool{New: func() any { return NewMemPool(0) }}
 
 // AcquireMemPool returns an empty pool with the given capacity, recycled

@@ -6,18 +6,31 @@ import (
 )
 
 // poisonPool scribbles a recognizable poison pattern over every piece of
-// MemPool state — arena entries, freelist, LRU endpoints, index and pin maps,
-// accounting — simulating the worst dirty state a recycled pool could carry.
-// Reset must erase all of it; any observable difference from a fresh pool
-// afterwards is cross-sample state leakage.
+// MemPool state — arena entries, freelist, LRU endpoints, residency index
+// and pin map, accounting — simulating the worst dirty state a recycled pool
+// could carry. Every id the index marks resident is named by an arena entry,
+// as in any state the pool's methods can reach; the marks hold out-of-range
+// slots and slots of unrelated poisoned entries, and negative-id entries sit
+// between them. Reset must erase all of it; any observable difference from a
+// fresh pool afterwards is cross-sample state leakage.
 func poisonPool(p *MemPool) {
 	const poison = int64(-0x5A5A5A5A5A5A5A5A)
 	p.used, p.peak = poison, poison
 	p.head, p.tail = 0x5A5A, -0x5A5A
 	p.entries = p.entries[:0]
+	p.index = make([]int32, 48)
 	for i := 0; i < 64; i++ {
+		id := poison + int64(i)
+		if i%2 == 0 {
+			id = int64(i / 2)
+			if i%4 == 0 {
+				p.index[id] = 0x5A5A
+			} else {
+				p.index[id] = int32(63 - i)
+			}
+		}
 		p.entries = append(p.entries, poolEntry{
-			id: poison + int64(i), bytes: poison, prev: 0x5A5A, next: 0x5A5A,
+			id: id, bytes: poison, prev: 0x5A5A, next: 0x5A5A,
 		})
 	}
 	p.free = p.free[:0]
@@ -25,7 +38,6 @@ func poisonPool(p *MemPool) {
 		p.free = append(p.free, 0x5A00+i)
 	}
 	for i := int64(0); i < 48; i++ {
-		p.index[poison+i] = int32(i)
 		p.pinned[i] = true
 	}
 }
