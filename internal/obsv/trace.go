@@ -106,26 +106,29 @@ func (s Span) End() int64 { return s.StartNS + s.DurNS }
 // no-ops so untraced call sites need no branching — the same discipline as
 // faults.Stream.
 type SampleTrace struct {
-	sample  int
-	wall    bool
-	base    int64
-	worker  int
-	wallSW  Stopwatch
-	wallNS  int64
-	outcome outcome
-	request int64
-	tenant  string
-	replica int
-	spans   []Span
+	sample   int
+	wall     bool
+	absolute bool
+	base     int64
+	worker   int
+	wallSW   Stopwatch
+	wallNS   int64
+	outcome  outcome
+	request  int64
+	tenant   string
+	replica  int
+	spans    []Span
 }
 
 // SetBase places the sample on an external shared clock: every span recorded
 // after the call lands at base + its in-sample offset. The cluster runtime
 // sets it to a GPU's virtual clock before dispatching, so per-GPU work and
-// interconnect transfers share one absolute timeline (pair with
-// WithAbsoluteTime).
+// interconnect transfers share one absolute timeline. It applies only to a
+// tracer built WithAbsoluteTime; the serial-equivalent layout starts every
+// sample at its own t=0, so there the call is a no-op and callers can pass
+// their clock unconditionally.
 func (st *SampleTrace) SetBase(baseNS int64) {
-	if st == nil {
+	if st == nil || !st.absolute {
 		return
 	}
 	st.base = baseNS

@@ -107,6 +107,35 @@ func TestTracerCanonicalTimeline(t *testing.T) {
 	}
 }
 
+// TestSerialTracerIgnoresSetBase: the serial-equivalent layout offsets each
+// sample by the makespans before it, so a shared-clock base must not leak
+// into it — Spans is the same with and without SetBase.
+func TestSerialTracerIgnoresSetBase(t *testing.T) {
+	record := func(baseNS int64) []Span {
+		tr := NewTracer()
+		for i := 0; i < 3; i++ {
+			st := tr.Sample(i)
+			st.SetBase(baseNS)
+			st.Instant(SpanPilot, 0)
+			st.Span(SpanCompute, LaneCompute, 0, 0, int64(100*(i+1)), 0)
+			st.Span(SpanEvict, LaneD2H, 0, 50, 20, 64)
+		}
+		return tr.Spans()
+	}
+	if plain, based := record(0), record(1e9); !reflect.DeepEqual(plain, based) {
+		t.Fatalf("SetBase moved a serial trace:\nwithout %+v\nwith    %+v", plain, based)
+	}
+
+	// The absolute layout still honors it.
+	tr := NewTracer(WithAbsoluteTime())
+	st := tr.Sample(0)
+	st.SetBase(1e9)
+	st.Span(SpanCompute, LaneCompute, 0, 0, 100, 0)
+	if got := tr.Spans()[1].StartNS; got != 1e9 {
+		t.Errorf("absolute tracer span start = %d, want 1e9", got)
+	}
+}
+
 func TestNilTracerAndSampleTrace(t *testing.T) {
 	var tr *Tracer
 	if tr.Spans() != nil || tr.SampleCount() != 0 || tr.WallTime() {

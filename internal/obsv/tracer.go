@@ -64,7 +64,7 @@ func (t *Tracer) Sample(idx int) *SampleTrace {
 	if t == nil {
 		return nil
 	}
-	st := &SampleTrace{sample: idx, wall: t.wall}
+	st := &SampleTrace{sample: idx, wall: t.wall, absolute: t.absolute}
 	t.mu.Lock()
 	t.samples[idx] = st
 	t.mu.Unlock()
