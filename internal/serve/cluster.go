@@ -16,8 +16,8 @@ import (
 // over when ClusterConfig.ScaleWindow is zero.
 const DefaultScaleWindow = 16
 
-// ClusterConfig extends the single-device serving config with replica
-// placement and elastic scaling.
+// ClusterConfig extends the serving config with replica placement and
+// elastic scaling.
 type ClusterConfig struct {
 	Config
 	// Replicas is the GPU replica count; 0 means one per backend engine.
@@ -91,15 +91,18 @@ type ClusterReport struct {
 }
 
 // RunCluster plays cfg's request streams against a pool of GPU replicas on
-// one simulated clock. The loop is serial and deterministic: arrivals admit
-// through the same per-tenant gates as the single-device server into one
-// shared queue; each dispatch picks a replica — the queue front's home if
-// it is free, otherwise the earliest-free (fewest-dispatches, lowest-index)
-// active replica — forms a continuous batch against that replica's own
-// reservation ledger, and occupies the replica for the batch's simulated
-// service time. Replicas overlap in virtual time; the event loop itself
-// never races. With ScaleUpQueueNS set, the active set grows from
-// MinReplicas under sustained queue-delay pressure and shrinks on idleness.
+// one simulated clock. It is the only serving event loop (Run is its
+// one-replica case). The loop is serial and deterministic: arrivals admit
+// through per-tenant gates into one shared queue; each dispatch picks a
+// replica — the queue front's home if it is free, otherwise the
+// fewest-dispatches (lowest-index) free active replica — forms a continuous
+// batch against that replica's own reservation ledger, and occupies the
+// replica for the batch's simulated service time. Replicas overlap in
+// virtual time; the event loop itself never races. While every active
+// replica is busy, arrivals wait unadmitted until the earliest release. The
+// online learner observes each batch when it finishes on the simulated
+// clock. With ScaleUpQueueNS set, the active set grows from MinReplicas
+// under sustained queue-delay pressure and shrinks on idleness.
 func RunCluster(b *ClusterBackend, cfg ClusterConfig) (*ClusterReport, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, ErrNoTenants
@@ -212,6 +215,9 @@ func RunCluster(b *ClusterBackend, cfg ClusterConfig) (*ClusterReport, error) {
 		scaleWindow: scaleWindow,
 		learner:     learner,
 	}
+	if learner != nil {
+		s.inflight = make([]inflight, replicas)
+	}
 	if cfg.ScaleUpQueueNS > 0 {
 		s.active = minActive
 	}
@@ -230,7 +236,7 @@ func RunCluster(b *ClusterBackend, cfg ClusterConfig) (*ClusterReport, error) {
 	return s.report(), nil
 }
 
-// clusterLoop is the cluster scheduler's state.
+// clusterLoop is the serving event loop's state.
 type clusterLoop struct {
 	cfg        ClusterConfig
 	backend    *ClusterBackend
@@ -262,17 +268,59 @@ type clusterLoop struct {
 	waits       []int64 // recent dispatch queue waits (scale-up signal)
 	events      []ScaleEvent
 
+	// exs is the dispatch scratch buffer, reused across batches: RunBatch
+	// never retains its argument slice past the call, and a sweep replays
+	// thousands of dispatches, so one buffer serves the whole run.
+	exs []*pilot.Example
+	// pilots mirrors exs when the learner is active: per-request pilot
+	// overrides (tenant adapter or refined shared pilot) for RunBatch.
+	pilots []*pilot.Pilot
 	// learner is the online feedback loop; nil when Config.Online is off.
 	learner *online.Learner
+	// inflight holds each replica's last batch until the learner has seen
+	// it; nil without a learner.
+	inflight []inflight
 }
 
-// run consumes the sorted arrival stream.
+// inflight is a dispatched batch waiting for the learner. A replica runs one
+// batch at a time, and its next dispatch comes only after this one is
+// learned, so one slot per replica suffices.
+type inflight struct {
+	batch   []*request // nil when the slot is empty
+	results []core.SampleResult
+	doneNS  int64
+	seq     int64 // dispatch order, breaking ties between equal doneNS
+}
+
+// run consumes the sorted arrival stream. Each iteration first lets the
+// learner see every batch finished by now, then admits, then dispatches.
 func (s *clusterLoop) run(arrivals []*request) error {
 	next := 0
-	for next < len(arrivals) || len(s.queued) > 0 {
+	for {
+		if err := s.learnFinished(); err != nil {
+			return err
+		}
+		pending := s.nextFinish()
+		if next == len(arrivals) && len(s.queued) == 0 && pending < 0 {
+			return nil
+		}
 		if len(s.queued) == 0 {
-			if s.now < arrivals[next].arrivalNS {
-				s.now = arrivals[next].arrivalNS
+			// Idle: jump to the next arrival, or to an earlier completion
+			// the learner must see first — but never admit while every
+			// active replica is busy.
+			t := int64(math.MaxInt64)
+			if next < len(arrivals) {
+				t = arrivals[next].arrivalNS
+			}
+			if pending >= 0 && s.inflight[pending].doneNS < t {
+				t = s.inflight[pending].doneNS
+			}
+			if release := s.free[s.earliestFree()]; release > t {
+				t = release
+			}
+			if t > s.now {
+				s.now = t
+				continue
 			}
 		}
 		for next < len(arrivals) && arrivals[next].arrivalNS <= s.now {
@@ -285,25 +333,21 @@ func (s *clusterLoop) run(arrivals []*request) error {
 		s.scaleDown()
 		r := s.pickReplica()
 		if s.free[r] > s.now {
-			// Every active replica is busy: advance to whichever comes
-			// first — the next arrival (more admissions, maybe a scale-up)
-			// or the earliest replica release.
-			t := s.free[r]
-			if next < len(arrivals) && arrivals[next].arrivalNS < t {
-				t = arrivals[next].arrivalNS
-			}
-			s.now = t
+			// Every active replica is busy. Nothing can dispatch before the
+			// earliest release, and admission waits for it too, so a
+			// finished batch is learned before later arrivals are admitted.
+			s.now = s.free[r]
 			continue
 		}
 		if err := s.dispatch(r); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
-// admit mirrors the single-device gates: impossible requests shed on quota,
-// full tenant queues shed as backpressure.
+// admit applies the two admission gates: a request that can never fit its
+// tenant's quota (or the device) is shed immediately; a request arriving at
+// a full tenant queue is shed as backpressure.
 func (s *clusterLoop) admit(r *request) {
 	a := &s.acc[r.tenant]
 	a.arrivals++
@@ -327,18 +371,24 @@ func (s *clusterLoop) admit(r *request) {
 	recordAdmission(flight, obsv.FlightAdmit, r, name)
 }
 
-// pickReplica chooses where the next batch runs: among replicas free now,
-// the queue front's home replica if it is one of them, else the one with
-// the fewest dispatches (lowest index on ties). If none is free it returns
-// the earliest-free active replica so the caller can advance the clock.
-func (s *clusterLoop) pickReplica() int {
+// earliestFree returns the active replica released first (lowest index on
+// ties).
+func (s *clusterLoop) earliestFree() int {
 	earliest := 0
 	for r := 1; r < s.active; r++ {
 		if s.free[r] < s.free[earliest] {
 			earliest = r
 		}
 	}
-	if s.free[earliest] > s.now {
+	return earliest
+}
+
+// pickReplica chooses where the next batch runs: among replicas free now,
+// the queue front's home replica if it is one of them, else the one with
+// the fewest dispatches (lowest index on ties). If none is free it returns
+// the earliest-free active replica so the caller can advance the clock.
+func (s *clusterLoop) pickReplica() int {
+	if earliest := s.earliestFree(); s.free[earliest] > s.now {
 		return earliest
 	}
 	if home := s.homes[s.queued[0].tenant]; home < s.active && s.free[home] <= s.now {
@@ -367,26 +417,25 @@ func (s *clusterLoop) dispatch(r int) error {
 		return fmt.Errorf("serve: no request schedulable at t=%dns with %d queued", s.now, len(s.queued))
 	}
 
-	exs := make([]*pilot.Example, len(batch))
-	for i, req := range batch {
-		exs[i] = req.ex
+	s.exs = s.exs[:0]
+	for _, req := range batch {
+		s.exs = append(s.exs, req.ex)
 	}
-	var pilots []*pilot.Pilot
+	s.pilots = s.pilots[:0]
 	if s.learner != nil {
-		pilots = make([]*pilot.Pilot, len(batch))
-		for i, req := range batch {
-			pilots[i] = s.learner.PilotFor(req.tenant)
+		for _, req := range batch {
+			s.pilots = append(s.pilots, s.learner.PilotFor(req.tenant))
 		}
 	}
 	base := s.slots.take(len(batch))
 	eng := s.backend.Engines[r]
-	results, err := eng.RunBatch(exs, core.EpochOptions{
+	results, err := eng.RunBatch(s.exs, core.EpochOptions{
 		Workers:     s.cfg.Workers,
 		Recorder:    s.rec,
 		Tracer:      s.cfg.Tracer,
 		TraceBase:   base,
 		ClockBaseNS: s.now,
-		Pilots:      pilots,
+		Pilots:      s.pilots,
 	})
 	for _, req := range batch {
 		s.ledgers[r].Free(req.id)
@@ -424,44 +473,63 @@ func (s *clusterLoop) dispatch(r int) error {
 		tr.ObservePhase(PhaseQueue, waitNS)
 		tr.ObservePhase(PhaseE2E, e2e)
 		tr.ObserveSample(req.seq, results[i].Mispredicted, results[i].CacheHit, e2e)
-		// The batch's engine spans sit at ClockBaseNS = now; the queue wait
-		// precedes them (build the tracer with WithAbsoluteTime — replicas
-		// genuinely overlap on the cluster clock).
 		annotateRequestTrace(s.cfg.Tracer, base+i, req, name, r, waitNS)
 		recordCompletion(s.flights[r], done, req, name, e2e, results[i].FaultCounters)
 		s.observeWait(waitNS)
 	}
-	if err := s.learn(batch, results); err != nil {
-		return err
+	if s.inflight != nil {
+		s.inflight[r] = inflight{batch: batch, results: results, doneNS: done, seq: s.batches}
 	}
 	s.scaleUp()
 	return nil
 }
 
-// learn mirrors the single-device loop's feedback step on the cluster's host
-// timeline: outcomes feed the learner in dispatch-processing order (the
-// run's deterministic serial order), and a retrain stall advances the host
-// clock — the replicas keep computing, but no new batch dispatches until the
-// refit finishes — crediting every queued request's pilot_retrain component.
-func (s *clusterLoop) learn(batch []*request, results []core.SampleResult) error {
-	if s.learner == nil {
-		return nil
-	}
-	var stallNS int64
-	for i, req := range batch {
-		ns, err := s.learner.Observe(req.tenant, req.ex, results[i].Mispredicted)
-		if err != nil {
-			return fmt.Errorf("serve: online retrain at t=%dns: %w", s.now, err)
+// nextFinish returns the replica whose unlearned batch finishes first
+// (earlier dispatch on ties), or -1 when the learner has seen every batch.
+func (s *clusterLoop) nextFinish() int {
+	pick := -1
+	for r := range s.inflight {
+		f := &s.inflight[r]
+		if f.batch == nil {
+			continue
 		}
-		stallNS += ns
+		if pick < 0 || f.doneNS < s.inflight[pick].doneNS ||
+			(f.doneNS == s.inflight[pick].doneNS && f.seq < s.inflight[pick].seq) {
+			pick = r
+		}
 	}
-	if stallNS > 0 {
+	return pick
+}
+
+// learnFinished feeds every batch finished by now to the online learner, in
+// (completion, dispatch) order, and charges each batch's retrain stall to
+// the host timeline: the clock advances past the stall — the replicas keep
+// computing, but no new batch dispatches until the refit finishes — and
+// every queued request is credited the stall time in its pilot_retrain
+// attribution component. (Requests arriving mid-stall simply see it as queue
+// time — the decomposition stays exact either way.) A stall can carry the
+// clock past further completions; those are learned in the same pass.
+func (s *clusterLoop) learnFinished() error {
+	for {
+		r := s.nextFinish()
+		if r < 0 || s.inflight[r].doneNS > s.now {
+			return nil
+		}
+		f := s.inflight[r]
+		s.inflight[r] = inflight{}
+		var stallNS int64
+		for i, req := range f.batch {
+			ns, err := s.learner.Observe(req.tenant, req.ex, f.results[i].Mispredicted)
+			if err != nil {
+				return fmt.Errorf("serve: online retrain at t=%dns: %w", s.now, err)
+			}
+			stallNS += ns
+		}
 		s.now += stallNS
 		for _, q := range s.queued {
 			q.retrainNS += stallNS
 		}
 	}
-	return nil
 }
 
 // observeWait feeds the elastic scaler's dispatch-wait window.
@@ -524,26 +592,13 @@ func (s *clusterLoop) scaleDown() {
 	}
 }
 
-// report assembles the cluster summary: the shared serving report over
-// max-of-ledgers high-waters, plus placement, per-replica, and scaling views.
+// report assembles the cluster summary: the serving report plus placement,
+// per-replica, and scaling views. The makespan is the last completion or,
+// when a retrain stall or a shed arrival trails it, the final clock.
 func (s *clusterLoop) report() *ClusterReport {
-	var highWater int64
-	for _, l := range s.ledgers {
-		if hw := l.HighWater(); hw > highWater {
-			highWater = hw
-		}
-	}
-	ownerPeak := func(name string) int64 {
-		var peak int64
-		for _, l := range s.ledgers {
-			if hw := l.OwnerHighWater(name); hw > peak {
-				peak = hw
-			}
-		}
-		return peak
-	}
+	s.makespanNS = max(s.makespanNS, s.now)
 	rep := &ClusterReport{
-		Report:      *buildReport(s.cfg.Tenants, s.acc, s.tenantRecs, s.rec, s.batches, s.makespanNS, highWater, ownerPeak, s.learner.Stats()),
+		Report:      s.serveReport(),
 		ScaleEvents: s.events,
 		PeakActive:  s.peakActive,
 	}

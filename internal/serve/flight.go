@@ -8,9 +8,11 @@ import (
 	"dynnoffload/internal/obsv"
 )
 
-// Flight-recorder wiring shared by the single-device and cluster loops: the
-// same lifecycle events, recorded at the same simulated times, so a replica's
-// recording reads identically whichever scheduler produced it.
+// Flight-recorder wiring for the event loop: one recorder per replica, each
+// event stamped with its simulated time (an arrival at its arrival, a
+// dispatch at its start, a completion at its batch's finish). The times come
+// from the serving clock alone, so the recording is the same whichever
+// layout the tracer uses.
 
 // FlightError carries the flight-recorder snapshots taken when a serving run
 // aborts (engine capacity exhaustion mid-batch), so post-mortems survive the

@@ -6,6 +6,7 @@ import (
 
 	"dynnoffload/internal/core"
 	"dynnoffload/internal/faults"
+	"dynnoffload/internal/obsv"
 	"dynnoffload/internal/online"
 )
 
@@ -194,5 +195,58 @@ func TestClusterOnlineDeterminism(t *testing.T) {
 				t.Errorf("rate=%v workers=%d diverged:\nwant %+v\ngot  %+v", fc.Rate, workers, got, want)
 			}
 		}
+	}
+}
+
+// TestClusterLearnsAtCompletion: the learner observes a batch when it
+// finishes on the simulated clock, and the retrain stall starts there. Every
+// completion retrains on a one-example minibatch, so a batch of N requests
+// stalls the host for N x stallNS, longer than any batch runs. Each dispatch
+// must therefore wait for the previous batch to finish and then for its
+// whole stall — learning at dispatch would overlap the two.
+func TestClusterLearnsAtCompletion(t *testing.T) {
+	b := testServeBench(t)
+	const stallNS = 10_000_000 // one retrain on a one-example minibatch
+	cfg := ClusterConfig{Config: twoTenants(b, 20000, 20)}
+	cfg.Flight = obsv.FlightConfig{Events: 4096}
+	cfg.Online = online.Config{
+		Enabled:          true,
+		TrainingInterval: 1,
+		MinibatchSize:    1,
+		RetrainCostNS:    stallNS,
+		Seed:             17,
+	}
+	rep, err := RunCluster(b.clusterBackend(1, core.DefaultConfig(b.plat)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dispatches []obsv.FlightEvent
+	for _, snap := range rep.Flights {
+		if snap.Reason != "final" {
+			continue
+		}
+		if snap.Dropped != 0 {
+			t.Fatalf("ring wrapped (%d dropped); grow Events", snap.Dropped)
+		}
+		for _, ev := range snap.Events {
+			if ev.Kind == obsv.FlightDispatch {
+				dispatches = append(dispatches, ev)
+			}
+		}
+	}
+	if len(dispatches) < 2 || int64(len(dispatches)) != rep.Total.Batches {
+		t.Fatalf("%d dispatch events for %d batches", len(dispatches), rep.Total.Batches)
+	}
+	for i := 1; i < len(dispatches); i++ {
+		prev, cur := dispatches[i-1], dispatches[i]
+		if prev.DurNS >= stallNS {
+			t.Fatalf("batch %d service %dns is not below the %dns stall", i-1, prev.DurNS, stallNS)
+		}
+		if earliest := prev.AtNS + prev.DurNS + int64(prev.N)*stallNS; cur.AtNS < earliest {
+			t.Errorf("dispatch %d at %dns, before the previous batch's completion plus stall (%dns)", i, cur.AtNS, earliest)
+		}
+	}
+	if end := dispatches[len(dispatches)-1]; rep.MakespanNS < end.AtNS+end.DurNS+int64(end.N)*stallNS {
+		t.Errorf("makespan %dns leaves out the trailing stall after %dns", rep.MakespanNS, end.AtNS+end.DurNS)
 	}
 }

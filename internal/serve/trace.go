@@ -2,10 +2,10 @@ package serve
 
 import "dynnoffload/internal/obsv"
 
-// Trace slot assignment and per-request trace annotation, shared by the
-// single-device and cluster event loops so the two paths cannot drift: both
-// hand RunBatch a TraceBase from the same counter and annotate completed
-// requests through the same helper.
+// Trace slot assignment and per-request trace annotation. The event loop
+// hands RunBatch a TraceBase from one counter and the dispatch time as
+// ClockBaseNS; where the spans land then depends only on the tracer's clock
+// layout (see annotateRequestTrace), not on which entry point ran.
 
 // slotCounter assigns contiguous dispatch-order trace/recorder slots. Every
 // batch takes len(batch) slots; slot base+i belongs to the batch's i-th
@@ -25,12 +25,14 @@ func (c *slotCounter) take(n int) int {
 // tracing off it is a no-op.
 //
 // The queue span's placement depends on the tracer's clock layout:
-//   - Absolute (cluster; WithAbsoluteTime): the engine spans already sit at
-//     the dispatch time via ClockBaseNS, so the wait lands just before them,
-//     starting at the request's arrival on the shared cluster clock.
-//   - Serial-equivalent (single device): each sample's spans start at its own
-//     t=0, so the engine spans shift past the wait and the queue span sits at
-//     the origin (queue spans then always start at >= 0).
+//   - Absolute (WithAbsoluteTime): the engine spans already sit at the
+//     dispatch time via ClockBaseNS, so the wait lands just before them,
+//     starting at the request's arrival on the shared serving clock —
+//     replicas genuinely overlap there.
+//   - Serial-equivalent (the default): the tracer ignores ClockBaseNS and
+//     each sample's spans start at its own t=0, so the engine spans shift
+//     past the wait and the queue span sits at the origin (queue spans then
+//     always start at >= 0).
 func annotateRequestTrace(tr *obsv.Tracer, slot int, r *request, tenant string, replica int, waitNS int64) {
 	st := tr.At(slot)
 	if st == nil {
