@@ -115,6 +115,8 @@ serve-smoke:
 # attribution report (cluster-attribution.txt), per-replica flight-recorder
 # snapshots (flight-cluster-*.jsonl), and a request-stamped trace
 # (cluster-trace.json) rendered through dynntrace's per-request timelines.
+# A second elastic run turns on online pilot learning across the replicas
+# and leaves its mispredict-rate trajectory (cluster-trajectory.jsonl).
 cluster-smoke:
 	$(GO) run ./cmd/dynnserve -model Tree-CNN -batch 12 -gpus 4 -minreplicas 1 \
 		-scaleup 100us -scaledown 5ms -train 200 -test 40 -epochs 4 \
@@ -123,6 +125,10 @@ cluster-smoke:
 		> cluster-attribution.txt
 	cat cluster-attribution.txt
 	$(GO) run ./cmd/dynntrace -requests 5 cluster-trace.json
+	$(GO) run ./cmd/dynnserve -model Tree-CNN -batch 12 -gpus 4 -minreplicas 1 \
+		-scaleup 100us -scaledown 5ms -train 200 -test 40 -epochs 4 \
+		-online -interval 8 -trajectory cluster-trajectory.jsonl \
+		-tenants "alpha:rate=2000,requests=60,slo=200ms,quota=0.5;beta:rate=2000,requests=60,slo=200ms,quota=0.5"
 	$(GO) run ./cmd/dynnbench -exp fig10 -train 200 -test 40 -epochs 4
 	$(GO) run ./cmd/dynnbench -exp clustersweep -train 200 -test 40 -epochs 4 \
 		-clusterjson cluster-sweep.json
