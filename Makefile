@@ -56,8 +56,9 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Native Go fuzzing of graph resolution, the Sentinel partitioner, plan
-# signatures, the pilot's nearest-path scan against a naive scan, and the
-# GPU residency pool against a map-backed model. Each
+# signatures, the pilot's nearest-path scan against a naive scan, the
+# GPU residency pool against a map-backed model, and the fault-spec parser
+# (no panic; accepted specs round-trip). Each
 # -fuzz pattern needs its own go test invocation; seed corpora live under the
 # packages' testdata/fuzz/. CI runs this with a short FUZZTIME as a smoke
 # pass; raise it locally to dig (e.g. make fuzz FUZZTIME=10m).
@@ -67,6 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanSignature$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzNearestPath$$' -fuzztime $(FUZZTIME) ./internal/pilot
 	$(GO) test -run '^$$' -fuzz '^FuzzMemPool$$' -fuzztime $(FUZZTIME) ./internal/gpusim
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faults
 
 # Coverage gate over the internal packages: fails below COVER_MIN% total.
 # Leaves coverage.out behind for inspection / CI artifact upload.

@@ -17,6 +17,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -106,7 +107,9 @@ func ParseSpec(spec string) (Config, error) {
 			if err != nil {
 				return cfg, fmt.Errorf("faults: bad rate %q: %w", kv[1], err)
 			}
-			if v < 0 || v > 1 {
+			// NaN fails every comparison, so it is rejected by name: let
+			// through, it would silently disable injection.
+			if math.IsNaN(v) || v < 0 || v > 1 {
 				return cfg, fmt.Errorf("faults: rate %v out of [0,1]", v)
 			}
 			cfg.Rate = v

@@ -122,7 +122,8 @@ func TestParseSpec(t *testing.T) {
 	if _, err := ParseSpec("rate=0.5, seed=3"); err != nil {
 		t.Errorf("spaced spec rejected: %v", err)
 	}
-	for _, bad := range []string{"rate=2", "rate=x", "seed=-1", "stall=0", "bogus=1", "rate"} {
+	for _, bad := range []string{"rate=2", "rate=x", "seed=-1", "stall=0", "bogus=1", "rate",
+		"rate=NaN", "rate=nan", "rate=-NaN", "rate=Inf", "rate=-Inf"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
