@@ -214,14 +214,18 @@ func (c *Cluster) trainConfig() distributed.Config {
 // engines builds one fresh engine per GPU sharing the system's pilot: each
 // gets its own allocator, streams, fault injector, and mis-prediction cache,
 // so runs replay bit-identically. Serving engines memoize repeated requests
-// (unless WithOnDemandServing); training engines never do.
+// (unless WithOnDemandServing), and because the replicas resolve through the
+// same pilots they share one resolution memo, built fresh for each call;
+// training engines never memoize.
 func (c *Cluster) engines(serving bool) []*core.Engine {
+	memo := core.NewResolutionMemo()
 	engines := make([]*core.Engine, c.gpus)
 	for i := range engines {
 		ecfg := c.sys.engineConfig()
 		if serving {
 			ecfg.ForceOnDemand = c.onDemand
 			ecfg.MemoizeSamples = !c.onDemand
+			ecfg.Resolutions = memo
 		}
 		engines[i] = core.NewEngine(ecfg, c.sys.pilot)
 	}

@@ -9,11 +9,11 @@ import (
 
 // RunBatch is the batched dispatch entry point for the serving layer: it
 // executes a set of samples as one dispatch group through the same
-// three-phase pipeline as ParallelRunEpoch (concurrent pilot resolution, a
-// serial cache pass in input order, concurrent simulation) but returns the
-// per-sample results in input order instead of folding them into an epoch
-// aggregate — a scheduler needs each request's own breakdown to account
-// latency per tenant.
+// three-phase pipeline as ParallelRunEpoch (pilot resolution through
+// resolveAll, a serial cache pass in input order, concurrent simulation) but
+// returns the per-sample results in input order instead of folding them into
+// an epoch aggregate — a scheduler needs each request's own breakdown to
+// account latency per tenant.
 //
 // The determinism contract carries over: for a fixed engine state and input
 // order, the results (and the mis-prediction cache evolution they imprint on
@@ -37,16 +37,8 @@ func (e *Engine) RunBatch(exs []*pilot.Example, opts EpochOptions) ([]SampleResu
 	}
 	rec := opts.Recorder
 
-	// Phase 1: concurrent pilot resolution.
-	resolutions := make([]pilot.Resolution, len(exs))
-	resolveErrs := make([]error, len(exs))
-	fanOut(len(exs), workers, func(i, _ int) {
-		resolutions[i], resolveErrs[i] = e.pilotFor(&opts, i).Resolve(exs[i])
-		if rec != nil && resolveErrs[i] == nil {
-			rec.ObservePhase(PhasePilot, resolutions[i].InferNS)
-			rec.ObservePhase(PhaseMapping, resolutions[i].MapNS)
-		}
-	})
+	// Phase 1: pilot resolution — memo hits serially, misses concurrently.
+	resolutions, resolveErrs := e.resolveAll(exs, &opts, workers)
 	for _, err := range resolveErrs {
 		if err != nil {
 			return nil, err

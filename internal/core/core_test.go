@@ -208,18 +208,6 @@ func TestCheckCapacityErrors(t *testing.T) {
 	}
 }
 
-func TestOutputKeyStable(t *testing.T) {
-	a := outputKey([]float64{1.2, 3.9, 0})
-	b := outputKey([]float64{1.4, 3.6, 0.2})
-	if a != b {
-		t.Errorf("keys should quantize equal: %q vs %q", a, b)
-	}
-	c := outputKey([]float64{2.2, 3.9, 0})
-	if a == c {
-		t.Error("distinct outputs must have distinct keys")
-	}
-}
-
 // TestUntrainedPilotSentinel checks the sentinel-error layering of the
 // engine's pilot guard: an untrained (but non-nil) pilot fails with
 // ErrPilotNotTrained, and because that sentinel wraps pilot.ErrNotTrained,

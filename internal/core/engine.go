@@ -8,9 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
-	"strings"
 
 	"dynnoffload/internal/faults"
 	"dynnoffload/internal/gpusim"
@@ -39,11 +37,6 @@ type Config struct {
 	// HandleMispredictions enables the §IV-E mis-prediction cache: identical
 	// pilot outputs that previously mis-predicted reuse the corrected blocks.
 	HandleMispredictions bool
-	// ExactOutputKeys additionally keys the mis-prediction cache on the
-	// quantized pilot output (the paper's literal "if the two outputs are
-	// exactly the same"). Off by default: the matched-path key alone is the
-	// noise-robust variant evaluated in §VI-H.
-	ExactOutputKeys bool
 	// FaultLatencyNS is charged per execution block when a sample falls back
 	// to on-demand fetching (the tensor-fault handler round trip).
 	FaultLatencyNS int64
@@ -57,15 +50,27 @@ type Config struct {
 	// ForceOnDemand routes every sample through the on-demand path,
 	// regardless of prediction outcome — the FaultSweep baseline.
 	ForceOnDemand bool
-	// MemoizeSamples remembers the resolved path of every mis-predicted
-	// sample by its sample ID, so a re-submitted identical request prefetches
-	// the recorded path instead of repeating the mis-prediction — the online
-	// analog of the §IV-E cache for serving, where the same request recurs
-	// (the cache's output keys cannot help there when the pilot is
-	// confidently wrong: an exact-but-wrong match never engages it). Off by
-	// default: training epochs measure pilot quality, and a sample memo would
-	// hide every mis-prediction after the first epoch.
+	// MemoizeSamples turns on the two serving-world memos, both keyed by
+	// sample ID, for a world where the same request recurs:
+	//   - the resolution memo (ResolutionMemo) reuses a request's pilot
+	//     resolution while the resolving pilot's weights are unchanged, so a
+	//     recurring request skips inference and mapping. It changes no
+	//     outcome, only host time: every request still goes through the
+	//     mis-prediction cache and this sample memo, and a hit reports
+	//     PilotNS and MappingNS of 0;
+	//   - the sample memo remembers the truth path of every mis-predicted
+	//     request, so a re-submission prefetches the recorded path instead
+	//     of repeating the mis-prediction — the online analog of the §IV-E
+	//     cache, whose output keys cannot help when the pilot is confidently
+	//     wrong (an exact-but-wrong match never engages it).
+	// Off by default: training epochs measure pilot quality and its Table IV
+	// and §VI-C wall cost, and a memo would hide both after the first epoch.
 	MemoizeSamples bool
+	// Resolutions, when non-nil with MemoizeSamples on, is a resolution memo
+	// shared with other engines: the replicas of one serving run resolve
+	// through the same pilots, so one memo serves them all. Nil gives each
+	// engine a private memo.
+	Resolutions *ResolutionMemo
 	// Plans, when non-nil, is a shared resolved-plan cache (L2): engines
 	// built for different sweep grid points reuse each other's compiled
 	// plans when path signature, context fingerprint, and GPU capacity
@@ -121,6 +126,8 @@ type Engine struct {
 	// sample memo (Config.MemoizeSamples): sample ID -> resolved path key of
 	// a previously executed mis-predicted request.
 	memo *shardedCache
+	// resolved is the resolution memo (Config.MemoizeSamples); nil when off.
+	resolved *ResolutionMemo
 	// resolved-plan L1s (see plan.go): paths by PathInfo identity, custom
 	// partitions by (analysis ID, partition digest).
 	pathPlans planL1[*pilot.PathInfo]
@@ -135,10 +142,17 @@ func NewEngine(cfg Config, p *pilot.Pilot) *Engine {
 	if cfg.Retry.BackoffNS <= 0 {
 		cfg.Retry.BackoffNS = DefaultRetryBackoffNS
 	}
-	return &Engine{
+	e := &Engine{
 		Cfg: cfg, CM: gpusim.NewCostModel(cfg.Platform), Pilot: p,
 		cache: newShardedCache(), memo: newShardedCache(),
 	}
+	if cfg.MemoizeSamples {
+		e.resolved = cfg.Resolutions
+		if e.resolved == nil {
+			e.resolved = NewResolutionMemo()
+		}
+	}
+	return e
 }
 
 // SampleResult reports one simulated training iteration of one sample.
@@ -181,19 +195,6 @@ func (rep *EpochReport) Add(r SampleResult) {
 	rep.FaultCounters = rep.FaultCounters.Add(r.FaultCounters)
 }
 
-// outputKey quantizes a pilot output vector to the nearest integer per
-// dimension; near-identical outputs collide. math.Round (not int64(v+0.5),
-// which truncates negatives toward zero) keeps negative outputs on their own
-// keys: -0.7 rounds to -1, not to the same bucket as +0.3.
-func outputKey(out []float64) string {
-	var sb strings.Builder
-	for _, v := range out {
-		sb.WriteString(strconv.FormatInt(int64(math.Round(v)), 10))
-		sb.WriteByte(',')
-	}
-	return sb.String()
-}
-
 // decision is the cache-dependent part of one sample's execution: which path
 // the runtime prefetches for, and whether that was a mis-prediction. It is
 // computed serially in sample order so cache evolution — and therefore every
@@ -217,14 +218,10 @@ func (e *Engine) decide(ex *pilot.Example, resolution *pilot.Resolution) (decisi
 	// path's bookkeeping record exactly (the suspicious case) and an output
 	// like it previously mis-predicted, reuse the recorded correct blocks.
 	// Keying on the (matched path, inexact) pair is the noise-robust analog
-	// of the paper's "if the two outputs are exactly the same"; Config.
-	// ExactOutputKeys appends the quantized output for the literal variant.
+	// of the paper's "if the two outputs are exactly the same".
 	cacheKey := ""
 	if e.Cfg.HandleMispredictions && !resolution.Exact && predKey != "" {
 		cacheKey = predKey
-		if e.Cfg.ExactOutputKeys {
-			cacheKey = predKey + "|" + outputKey(resolution.Output)
-		}
 		if corrected, ok := e.cache.Lookup(cacheKey); ok {
 			predKey = corrected
 			d.cacheHit = true
@@ -315,8 +312,9 @@ func (e *Engine) RunSampleTraced(ex *pilot.Example, st *obsv.SampleTrace) (Sampl
 		return res, ErrPilotNotTrained
 	}
 
-	resolution, err := e.Pilot.Resolve(ex)
-	if err != nil {
+	resolutions, errs := e.resolveAll([]*pilot.Example{ex}, &EpochOptions{}, 1)
+	resolution := resolutions[0]
+	if err := errs[0]; err != nil {
 		if errors.Is(err, pilot.ErrNotTrained) {
 			return res, ErrPilotNotTrained
 		}

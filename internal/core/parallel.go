@@ -61,7 +61,8 @@ const (
 // samples already mis-predicted. So the epoch runs as a three-phase pipeline:
 //
 //  1. pilot resolution (inference + output→path mapping) fans out across
-//     workers — read-only on the pilot and cost model;
+//     workers — read-only on the pilot and cost model — for every sample
+//     the resolution memo cannot answer (resolveAll);
 //  2. a serial cache pass walks samples in their seeded order, replicating
 //     the exact cache evolution of RunEpoch (lookups, inserts, capacity
 //     checks, and the first-error cutoff);
@@ -88,17 +89,10 @@ func (e *Engine) ParallelRunEpoch(examples []*pilot.Example, opts EpochOptions) 
 	}
 	rec := opts.Recorder
 
-	// Phase 1: concurrent pilot resolution. Per-index errors are collected
-	// and the lowest-index one wins below, matching serial order.
-	resolutions := make([]pilot.Resolution, len(examples))
-	resolveErrs := make([]error, len(examples))
-	fanOut(len(examples), workers, func(i, _ int) {
-		resolutions[i], resolveErrs[i] = e.pilotFor(&opts, i).Resolve(examples[i])
-		if rec != nil && resolveErrs[i] == nil {
-			rec.ObservePhase(PhasePilot, resolutions[i].InferNS)
-			rec.ObservePhase(PhaseMapping, resolutions[i].MapNS)
-		}
-	})
+	// Phase 1: pilot resolution (concurrent, after the memo prologue when
+	// the resolution memo is on). Per-index errors are collected and the
+	// lowest-index one wins below, matching serial order.
+	resolutions, resolveErrs := e.resolveAll(examples, &opts, workers)
 
 	// Phase 2: serial, deterministic cache pass in seeded sample order. On
 	// error, samples before the failing one still count — matching serial

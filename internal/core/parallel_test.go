@@ -196,45 +196,3 @@ func TestParallelEpochSpeedup(t *testing.T) {
 	}
 	t.Errorf("4-worker epoch only %.2fx faster than 1 worker, want >=1.5x", best)
 }
-
-// TestOutputKeyNegative is the regression for the int64(v+0.5) truncation
-// bug: negative outputs rounded toward zero, colliding with small positive
-// outputs in the mis-prediction cache.
-func TestOutputKeyNegative(t *testing.T) {
-	if a, b := outputKey([]float64{-0.7}), outputKey([]float64{0.3}); a == b {
-		t.Errorf("-0.7 and +0.3 must not share a key: %q", a)
-	}
-	if a, b := outputKey([]float64{-1.6}), outputKey([]float64{-0.6}); a == b {
-		t.Errorf("-1.6 and -0.6 must not share a key: %q", a)
-	}
-	// Round-to-nearest still buckets noise around the same integer.
-	if a, b := outputKey([]float64{-0.9, 2.1}), outputKey([]float64{-1.1, 1.8}); a != b {
-		t.Errorf("near-identical outputs must collide: %q vs %q", a, b)
-	}
-}
-
-// TestExactOutputKeys: the paper-literal cache keying must still converge —
-// repeated identical outputs hit the cache.
-func TestExactOutputKeys(t *testing.T) {
-	_, test, p, plat := testBench(t)
-	cfg := DefaultConfig(plat)
-	cfg.ExactOutputKeys = true
-	eng := NewEngine(cfg, p)
-	rep, err := eng.RunEpoch(test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Mispredictions > 0 && eng.CacheSize() == 0 {
-		t.Error("cache empty despite mispredictions")
-	}
-	// Determinism must hold in this mode too.
-	eng2 := NewEngine(cfg, p)
-	rep2, err := eng2.ParallelRunEpoch(test, EpochOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Mispredictions != rep.Mispredictions || rep2.CacheHits != rep.CacheHits {
-		t.Errorf("exact-key mode diverges: %d/%d vs %d/%d",
-			rep2.Mispredictions, rep2.CacheHits, rep.Mispredictions, rep.CacheHits)
-	}
-}

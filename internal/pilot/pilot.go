@@ -92,6 +92,11 @@ type Pilot struct {
 	// pool reachable until two GCs later: embedded, it would keep a
 	// discarded pilot's weights alive that long too.
 	scratch *sync.Pool
+
+	// version counts the weight updates (Train and Refine calls) this
+	// instance has seen. Together with the instance's identity it names one
+	// fixed set of weights, which is what a cached Resolution is valid for.
+	version uint64
 }
 
 // New constructs an untrained pilot model.
@@ -180,6 +185,7 @@ type TrainResult struct {
 // offline, §IV-D). Examples route to the MLP of their base type.
 func (p *Pilot) Train(examples []*Example) TrainResult {
 	sw := obsv.StartTimer()
+	p.version++
 	p.fitScalers(examples)
 	p.normMu.Lock()
 	p.normLabels = map[*ModelContext][]float64{}
@@ -216,6 +222,13 @@ func (p *Pilot) Train(examples []*Example) TrainResult {
 
 // Trained reports whether Train has fit the pilot's scalers and MLPs.
 func (p *Pilot) Trained() bool { return p.featMean != nil }
+
+// Version returns the pilot's weight version: it advances on every Train and
+// Refine, so a Resolution computed at one version is stale at any later one.
+// Clone and Load return a new instance, which is a new identity; the
+// (instance, version) pair therefore names the weights that resolved a
+// request. Like Resolve, it must not run concurrently with Train or Refine.
+func (p *Pilot) Version() uint64 { return p.version }
 
 // Clone returns a deep copy of the pilot: its own MLPs, scaler copies, and a
 // fresh normalized-label cache. The online learner refines a clone so the
@@ -261,6 +274,7 @@ func (p *Pilot) Refine(examples []*Example, rc RefineConfig) (float64, error) {
 	if len(examples) == 0 {
 		return 0, nil
 	}
+	p.version++
 	if rc.Epochs <= 0 {
 		rc.Epochs = 1
 	}

@@ -245,3 +245,37 @@ func TestPilotSaveLoadRoundTrip(t *testing.T) {
 		t.Error("corrupt Load must fail")
 	}
 }
+
+// TestVersionAdvancesOnWeightUpdates: Train and every Refine that updates
+// weights advance the version a cached Resolution is checked against; an
+// empty Refine, which updates nothing, does not.
+func TestVersionAdvancesOnWeightUpdates(t *testing.T) {
+	m := dynn.NewVarLSTM(dynn.VarLSTMConfig{Hidden: 32, Batch: 2, Seed: 3})
+	ctx, err := NewModelContext(m, gpusim.NewCostModel(gpusim.RTXPlatform()), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exs, err := BuildExamples(ctx, FeatureConfig{}, dynn.GenerateSamples(5, 40, 8, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(Config{Neurons: 16, Epochs: 2, Seed: 4})
+	v0 := p.Version()
+	p.Train(exs)
+	v1 := p.Version()
+	if v1 == v0 {
+		t.Fatal("Train did not advance the version")
+	}
+	if _, err := p.Refine(nil, RefineConfig{LR: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	if p.Version() != v1 {
+		t.Error("an empty Refine advanced the version")
+	}
+	if _, err := p.Refine(exs[:8], RefineConfig{LR: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	if p.Version() == v1 {
+		t.Error("Refine did not advance the version")
+	}
+}

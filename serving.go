@@ -87,10 +87,12 @@ var (
 // and latency aggregates at any worker count.
 //
 // The serving engine memoizes repeated requests (Config.MemoizeSamples): a
-// re-submitted identical job reuses its recorded resolution instead of
-// repeating a mis-prediction. The system's training-epoch engine is untouched
-// — serving runs on its own engine so cache state never leaks between the
-// two worlds.
+// re-submitted identical job reuses its pilot resolution while the pilot's
+// weights are unchanged, skipping inference and mapping, and reuses its
+// recorded truth path instead of repeating a mis-prediction. Both memos live
+// for one Serve call. The system's training-epoch engine is untouched —
+// serving runs on its own engine so cache state never leaks between the two
+// worlds.
 func (s *System) Serve(pool []*dynn.Sample, cfg ServeConfig) (*ServeReport, error) {
 	if s.pilot == nil {
 		return nil, fmt.Errorf("dynnoffload: %w (call TrainPilot)", ErrPilotNotTrained)
