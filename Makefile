@@ -55,13 +55,16 @@ benchcheck:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Native Go fuzzing of graph resolution, the Sentinel partitioner, plan
-# signatures, the pilot's nearest-path scan against a naive scan, the
-# GPU residency pool against a map-backed model, and the fault-spec parser
-# (no panic; accepted specs round-trip). Each
-# -fuzz pattern needs its own go test invocation; seed corpora live under the
-# packages' testdata/fuzz/. CI runs this with a short FUZZTIME as a smoke
-# pass; raise it locally to dig (e.g. make fuzz FUZZTIME=10m).
+# Native Go fuzzing, one target each: FuzzResolve (graph resolution),
+# FuzzPartition (the Sentinel partitioner), FuzzPlanSignature (plan
+# signatures), FuzzNearestPath (the pilot's nearest-path scan against a naive
+# scan), FuzzMemPool (the GPU residency pool against a map-backed model),
+# FuzzParseSpec (the fault-spec parser: no panic; accepted specs round-trip)
+# and FuzzLoad (pilot.LoadWithMeta: no panic; an accepted file re-saves to
+# identical bytes). Each -fuzz pattern needs its own go test invocation; seed
+# corpora live under the packages' testdata/fuzz/. CI runs this with a short
+# FUZZTIME as a smoke pass; raise it locally to dig (e.g. make fuzz
+# FUZZTIME=10m).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime $(FUZZTIME) ./internal/dynn
 	$(GO) test -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime $(FUZZTIME) ./internal/sentinel
@@ -69,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzNearestPath$$' -fuzztime $(FUZZTIME) ./internal/pilot
 	$(GO) test -run '^$$' -fuzz '^FuzzMemPool$$' -fuzztime $(FUZZTIME) ./internal/gpusim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faults
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/pilot
 
 # Coverage gate over the internal packages: fails below COVER_MIN% total.
 # Leaves coverage.out behind for inspection / CI artifact upload.

@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 
-	"dynnoffload/internal/obsv"
 	"dynnoffload/internal/pilot"
 )
 
@@ -35,7 +34,6 @@ func (e *Engine) RunBatch(exs []*pilot.Example, opts EpochOptions) ([]SampleResu
 	if workers > len(exs) {
 		workers = len(exs)
 	}
-	rec := opts.Recorder
 
 	// Phase 1: pilot resolution — memo hits serially, misses concurrently.
 	resolutions, resolveErrs := e.resolveAll(exs, &opts, workers)
@@ -60,36 +58,9 @@ func (e *Engine) RunBatch(exs []*pilot.Example, opts EpochOptions) ([]SampleResu
 	results := make([]SampleResult, len(exs))
 	simErrs := make([]error, len(exs))
 	fanOut(len(exs), workers, func(i, w int) {
-		res := &results[i]
-		res.PilotNS = resolutions[i].InferNS
-		res.MappingNS = resolutions[i].MapNS
-		res.Mispredicted = decisions[i].mispredicted
-		res.CacheHit = decisions[i].cacheHit
-		st := opts.Tracer.Sample(opts.TraceBase + i)
-		st.SetBase(opts.ClockBaseNS)
-		st.SetWorker(w)
-		st.StartWall()
-		st.Instant(obsv.SpanPilot, res.PilotNS)
-		st.Instant(obsv.SpanMapping, res.MappingNS)
-		st.Outcome(res.Mispredicted, res.CacheHit)
-		simSW := obsv.StartTimer()
-		fs := e.faultStream(exs[i])
-		var err error
-		res.Breakdown, err = e.simulate(decisions[i], fs, st)
-		st.StopWall()
-		if err != nil {
-			simErrs[i] = err
-			return
-		}
-		res.FaultCounters = fs.Counters()
-		res.Breakdown.OverheadNS += res.PilotNS + res.MappingNS
-		if rec != nil {
-			rec.ObservePhase(PhaseSimulate, simSW.ElapsedNS())
-			rec.ObserveSample(opts.TraceBase+i, res.Mispredicted, res.CacheHit, res.Breakdown.TotalNS())
-			if fs != nil {
-				rec.ObserveFaults(faultStats(fs.Counters()))
-			}
-		}
+		idx := opts.TraceBase + i
+		results[i], simErrs[i] = e.runStep(exs[i], &resolutions[i], decisions[i],
+			opts.sampleTrace(idx, w), opts.Recorder, idx)
 	})
 	for _, err := range simErrs {
 		if err != nil {

@@ -166,11 +166,12 @@ func TestPipelinedNoWorseThanOnDemand(t *testing.T) {
 	ctx, _, _, plat := testBench(t)
 	eng := NewEngine(DefaultConfig(plat), nil)
 	for _, info := range ctx.Paths[:4] {
-		pipe, err := eng.simulatePipelined(info.Analysis, info.Blocks, nil, nil, nil)
+		plan := eng.planFor(info)
+		pipe, err := eng.simulatePipelined(plan, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		demand := eng.simulateOnDemand(info.Analysis, info.Blocks, nil, nil, nil)
+		demand := eng.simulateOnDemand(plan, nil, nil)
 		if pipe.TotalNS() > demand.TotalNS() {
 			t.Errorf("pipelined %d > on-demand %d", pipe.TotalNS(), demand.TotalNS())
 		}

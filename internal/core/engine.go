@@ -76,11 +76,11 @@ type Config struct {
 	// plans when path signature, context fingerprint, and GPU capacity
 	// match. Each engine always keeps its own pointer-keyed L1 regardless.
 	Plans *PlanCache
-	// NoPlanCache disables plan compilation entirely: every sample re-walks
-	// the analysis exactly as the pre-plan runtime did. Plans are pure
-	// functions of their inputs, so this changes no result — it exists so
-	// the equivalence property tests have a reference path to compare
-	// against (and as an escape hatch).
+	// NoPlanCache compiles a fresh plan for every sample and memoizes
+	// nothing: neither the engine L1 nor the shared L2 is consulted or
+	// filled. Plans are pure functions of their inputs, so this changes no
+	// result — it gives the plan-cache property tests an uncached reference
+	// to compare against.
 	NoPlanCache bool
 }
 
@@ -275,20 +275,59 @@ func (e *Engine) faultStream(ex *pilot.Example) *faults.Stream {
 	return e.Cfg.Faults.Stream(scope)
 }
 
-// simulate executes the decided sample: double-buffered prefetch on a correct
-// prediction, on-demand fallback on a mis-prediction. Read-only on the
-// engine; safe to run concurrently (each call gets its own fault stream and
-// trace collector). The error is non-nil only when the degradation ladder is
-// genuinely stuck (ErrCapacityExceeded) — never in fault-free runs.
+// simulate executes the decided sample from its compiled plan:
+// double-buffered prefetch on a correct prediction, on-demand fallback on a
+// mis-prediction. Read-only on the engine; safe to run concurrently (each
+// call gets its own fault stream and trace collector). The error is non-nil
+// only when the degradation ladder is genuinely stuck (ErrCapacityExceeded)
+// — never in fault-free runs.
 func (e *Engine) simulate(d decision, fs *faults.Stream, st *obsv.SampleTrace) (gpusim.Breakdown, error) {
-	var plan *ResolvedPlan
-	if !e.Cfg.NoPlanCache {
-		plan = e.planFor(d.truth)
-	}
+	plan := e.planFor(d.truth)
 	if d.mispredicted || e.Cfg.ForceOnDemand {
-		return e.simulateOnDemand(d.truth.Analysis, d.truth.Blocks, plan, fs, st), nil
+		return e.simulateOnDemand(plan, fs, st), nil
 	}
-	return e.simulatePipelined(d.truth.Analysis, d.truth.Blocks, plan, fs, st)
+	return e.simulatePipelined(plan, fs, st)
+}
+
+// runStep is the per-sample step every execution path (RunSample, RunBatch,
+// ParallelRunEpoch) ends in: trace the sample's pilot instants and outcome,
+// simulate the decided sample under its fault stream, and fold the
+// recovery counters and host overhead into its result. st and rec may be
+// nil; idx is the sample's index as the recorder reports it. Safe to run
+// concurrently for distinct samples.
+func (e *Engine) runStep(ex *pilot.Example, r *pilot.Resolution, d decision,
+	st *obsv.SampleTrace, rec *obsv.Recorder, idx int) (SampleResult, error) {
+	res := SampleResult{
+		PilotNS:      r.InferNS,
+		MappingNS:    r.MapNS,
+		Mispredicted: d.mispredicted,
+		CacheHit:     d.cacheHit,
+	}
+	simSW := obsv.StartTimer()
+	fs := e.faultStream(ex)
+	var err error
+	st.TimeWall(func() {
+		// Pilot inference and mapping run on the host in wall time, outside
+		// the DES clocks — they trace as simulated-time instants (see
+		// SpanPilot).
+		st.Instant(obsv.SpanPilot, res.PilotNS)
+		st.Instant(obsv.SpanMapping, res.MappingNS)
+		st.Outcome(res.Mispredicted, res.CacheHit)
+		res.Breakdown, err = e.simulate(d, fs, st)
+	})
+	if err != nil {
+		return res, err
+	}
+	res.FaultCounters = fs.Counters()
+	res.Breakdown.OverheadNS += res.PilotNS + res.MappingNS
+	if rec != nil {
+		rec.ObservePhase(PhaseSimulate, simSW.ElapsedNS())
+		rec.ObserveSample(idx, res.Mispredicted, res.CacheHit, res.Breakdown.TotalNS())
+		if fs != nil {
+			rec.ObserveFaults(faultStats(res.FaultCounters))
+		}
+	}
+	return res, nil
 }
 
 // RunSample simulates one training iteration: pilot inference, output→path
@@ -298,50 +337,22 @@ func (e *Engine) simulate(d decision, fs *faults.Stream, st *obsv.SampleTrace) (
 // depends on scheduling — use ParallelRunEpoch for deterministic epoch
 // aggregates.
 func (e *Engine) RunSample(ex *pilot.Example) (SampleResult, error) {
-	return e.RunSampleTraced(ex, nil)
-}
-
-// RunSampleTraced is RunSample with span tracing: the sample's pilot
-// prediction, block prefetches, compute intervals, evictions, on-demand
-// fetches, and fault retries are recorded into st on the simulated clock.
-// A nil st disables tracing (all trace methods are nil-safe no-ops), so
-// RunSample pays nothing for the instrumentation.
-func (e *Engine) RunSampleTraced(ex *pilot.Example, st *obsv.SampleTrace) (SampleResult, error) {
-	var res SampleResult
 	if e.Pilot == nil {
-		return res, ErrPilotNotTrained
+		return SampleResult{}, ErrPilotNotTrained
 	}
-
 	resolutions, errs := e.resolveAll([]*pilot.Example{ex}, &EpochOptions{}, 1)
 	resolution := resolutions[0]
 	if err := errs[0]; err != nil {
 		if errors.Is(err, pilot.ErrNotTrained) {
-			return res, ErrPilotNotTrained
+			return SampleResult{}, ErrPilotNotTrained
 		}
-		return res, fmt.Errorf("core: resolve: %w", err)
+		return SampleResult{}, fmt.Errorf("core: resolve: %w", err)
 	}
-	res.PilotNS = resolution.InferNS
-	res.MappingNS = resolution.MapNS
-	// Pilot inference and mapping run on the host in wall time, outside the
-	// DES clocks — they trace as simulated-time instants (see SpanPilot).
-	st.Instant(obsv.SpanPilot, res.PilotNS)
-	st.Instant(obsv.SpanMapping, res.MappingNS)
-
 	d, err := e.decide(ex, &resolution)
 	if err != nil {
-		return res, err
+		return SampleResult{}, err
 	}
-	res.Mispredicted = d.mispredicted
-	res.CacheHit = d.cacheHit
-	st.Outcome(d.mispredicted, d.cacheHit)
-	fs := e.faultStream(ex)
-	res.Breakdown, err = e.simulate(d, fs, st)
-	if err != nil {
-		return res, err
-	}
-	res.FaultCounters = fs.Counters()
-	res.Breakdown.OverheadNS += res.PilotNS + res.MappingNS
-	return res, nil
+	return e.runStep(ex, &resolution, d, nil, nil, 0)
 }
 
 // checkCapacity enforces the offloading feasibility bound: all tensors must

@@ -38,6 +38,15 @@ type EpochOptions struct {
 	Pilots []*pilot.Pilot
 }
 
+// sampleTrace registers trace slot idx for a sample simulated by worker w,
+// placed on the dispatch's clock base; nil when untraced.
+func (opts *EpochOptions) sampleTrace(idx, w int) *obsv.SampleTrace {
+	st := opts.Tracer.Sample(idx)
+	st.SetBase(opts.ClockBaseNS)
+	st.SetWorker(w)
+	return st
+}
+
 // pilotFor picks the resolving pilot for sample i under opts.
 func (e *Engine) pilotFor(opts *EpochOptions, i int) *pilot.Pilot {
 	if i < len(opts.Pilots) && opts.Pilots[i] != nil {
@@ -87,7 +96,6 @@ func (e *Engine) ParallelRunEpoch(examples []*pilot.Example, opts EpochOptions) 
 	if len(examples) == 0 {
 		return rep, nil
 	}
-	rec := opts.Recorder
 
 	// Phase 1: pilot resolution (concurrent, after the memo prologue when
 	// the resolution memo is on). Per-index errors are collected and the
@@ -127,35 +135,11 @@ func (e *Engine) ParallelRunEpoch(examples []*pilot.Example, opts EpochOptions) 
 	go func() {
 		defer wg.Done()
 		fanOut(n, workers, func(i, w int) {
-			var res SampleResult
-			res.PilotNS = resolutions[i].InferNS
-			res.MappingNS = resolutions[i].MapNS
-			res.Mispredicted = decisions[i].mispredicted
-			res.CacheHit = decisions[i].cacheHit
-			st := opts.Tracer.Sample(i)
-			st.SetBase(opts.ClockBaseNS)
-			st.SetWorker(w)
-			st.StartWall()
-			st.Instant(obsv.SpanPilot, res.PilotNS)
-			st.Instant(obsv.SpanMapping, res.MappingNS)
-			st.Outcome(res.Mispredicted, res.CacheHit)
-			simSW := obsv.StartTimer()
-			fs := e.faultStream(examples[i])
-			var err error
-			res.Breakdown, err = e.simulate(decisions[i], fs, st)
-			st.StopWall()
+			res, err := e.runStep(examples[i], &resolutions[i], decisions[i],
+				opts.sampleTrace(i, w), opts.Recorder, i)
 			if err != nil {
 				simErrs[i] = err
 				return
-			}
-			res.FaultCounters = fs.Counters()
-			res.Breakdown.OverheadNS += res.PilotNS + res.MappingNS
-			if rec != nil {
-				rec.ObservePhase(PhaseSimulate, simSW.ElapsedNS())
-				rec.ObserveSample(i, res.Mispredicted, res.CacheHit, res.Breakdown.TotalNS())
-				if fs != nil {
-					rec.ObserveFaults(faultStats(fs.Counters()))
-				}
 			}
 			results <- res
 		})

@@ -70,7 +70,7 @@ func (m *ResolutionMemo) store(ex *pilot.Example, p *pilot.Pilot, v uint64, res 
 	m.entries[ex.Sample.ID] = append(ents, ent)
 }
 
-// resolveAll is phase 1 of every execution path (RunSampleTraced, RunBatch,
+// resolveAll is phase 1 of every execution path (RunSample, RunBatch,
 // ParallelRunEpoch): pilot inference and output→path mapping for exs, sample
 // i through pilotFor(opts, i), with per-index errors. With the resolution
 // memo on (Config.MemoizeSamples), a serial prologue answers every request

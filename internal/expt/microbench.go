@@ -25,8 +25,8 @@ type MicroBenchResult struct {
 //
 //   - graph_resolve: graph.Resolve over the model's test-split decision
 //     vectors (the per-sample dynamic-architecture instantiation cost);
-//   - des_iteration: Engine.SimulatePartition (the double-buffered
-//     simulatePipelined DES loop) over the model's first path, warm — the
+//   - des_iteration: Engine.SimulatePartition (the plan-driven
+//     double-buffered DES) over the model's first path, warm — the
 //     steady-state per-sample cost with the resolved-plan cache serving;
 //   - plan_cache_miss: the same loop against a cold engine every iteration,
 //     so each run pays plan compilation (the liveness walks and partition

@@ -1,12 +1,12 @@
 package lint
 
 // All returns the full dynnlint analyzer suite in reporting order: the five
-// AST-shallow passes from the original linter, then the four CFG/dataflow
-// resource-discipline passes.
+// AST-shallow passes from the original linter, then the two CFG/dataflow
+// passes.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, Lockcheck, Floatcmp, Errdiscipline, Panicfree,
-		Allocleak, Clockunits, Spanbalance, Facade,
+		Allocleak, Clockunits,
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the control-flow layer under the flow-sensitive analyzers
-// (allocleak, spanbalance): a per-function CFG built from go/ast, with
+// (allocleak): a per-function CFG built from go/ast, with
 // branch edges annotated by their condition so guard-style facts ("acquired
 // iff err == nil") can be refined at the branch instead of merged away.
 //

@@ -24,8 +24,6 @@ var cfgFixtures = []struct {
 }{
 	{"allocleak", "dynnoffload/internal/gpusim", "dynnoffload/internal/gpusim", "dynnoffload/internal/gpusim", false},
 	{"clockunits", inScopePath, inScopePath, inScopePath, true},
-	{"spanbalance", outOfScopePath, outOfScopePath, outOfScopePath, true},
-	{"facade", "dynnoffload/cmd/dynnfix", "dynnoffload/cmd/dynntrace", "dynnoffload/cmd/dynnfix", true},
 }
 
 func loadCFGFixture(t *testing.T, rel, importPath string, withDeps bool) *Package {
@@ -66,8 +64,8 @@ func TestDataflowFlaggedFixtures(t *testing.T) {
 }
 
 // TestDataflowCleanFixtures checks the clean twins stay silent under the full
-// analyzer suite: balanced releases, deferred closes, ownership transfers,
-// and whitelisted imports must all pass.
+// analyzer suite: balanced releases, deferred closes, and ownership
+// transfers must all pass.
 func TestDataflowCleanFixtures(t *testing.T) {
 	for _, tc := range cfgFixtures {
 		t.Run(tc.analyzer, func(t *testing.T) {
@@ -104,10 +102,5 @@ func TestDataflowAnalyzersScopeOut(t *testing.T) {
 	pkg := loadCFGFixture(t, filepath.Join("clockunits", "flagged"), outOfScopePath, true)
 	if got := render(Run([]*Package{pkg}, ByName([]string{"clockunits"}))); len(got) != 0 {
 		t.Errorf("clockunits fired outside the deterministic scope:\n  %s", strings.Join(got, "\n  "))
-	}
-	// facade is scoped to cmd/ binaries.
-	pkg = loadCFGFixture(t, filepath.Join("facade", "flagged"), outOfScopePath, true)
-	if got := render(Run([]*Package{pkg}, ByName([]string{"facade"}))); len(got) != 0 {
-		t.Errorf("facade fired outside cmd/:\n  %s", strings.Join(got, "\n  "))
 	}
 }

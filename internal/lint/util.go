@@ -29,6 +29,20 @@ func rootIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
+const obsvPath = "dynnoffload/internal/obsv"
+
+// namedOf unwraps pointers to the named type underneath, if any.
+func namedOf(t types.Type) *types.Named {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
 // unparen removes any number of enclosing parentheses.
 func unparen(e ast.Expr) ast.Expr {
 	for {

@@ -111,7 +111,6 @@ type SampleTrace struct {
 	absolute bool
 	base     int64
 	worker   int
-	wallSW   Stopwatch
 	wallNS   int64
 	outcome  outcome
 	request  int64

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // traceFixture covers every span kind and argument field the Chrome export
@@ -149,8 +150,11 @@ func TestNilTracerAndSampleTrace(t *testing.T) {
 	st.Instant(SpanPilot, 100)
 	st.Outcome(true, true)
 	st.SetWorker(2)
-	st.StartWall()
-	st.StopWall()
+	called := false
+	st.TimeWall(func() { called = true })
+	if !called {
+		t.Error("nil SampleTrace.TimeWall must still run its function")
+	}
 }
 
 func TestWallModeGating(t *testing.T) {
@@ -159,7 +163,7 @@ func TestWallModeGating(t *testing.T) {
 	det := NewTracer()
 	st := det.Sample(0)
 	st.SetWorker(5)
-	st.Instant(SpanPilot, 12345)
+	st.TimeWall(func() { st.Instant(SpanPilot, 12345) })
 	for _, sp := range det.Spans() {
 		if sp.Worker != 0 || sp.WallNS != 0 {
 			t.Errorf("deterministic trace carries wall fields: %+v", sp)
@@ -172,15 +176,24 @@ func TestWallModeGating(t *testing.T) {
 	}
 	ws := wall.Sample(0)
 	ws.SetWorker(5)
-	ws.Instant(SpanPilot, 12345)
-	var found bool
+	ws.TimeWall(func() {
+		ws.Instant(SpanPilot, 12345)
+		time.Sleep(time.Millisecond)
+	})
+	var found, envelope bool
 	for _, sp := range wall.Spans() {
 		if sp.Kind == SpanPilot && sp.Worker == 5 && sp.WallNS == 12345 {
 			found = true
 		}
+		if sp.Kind == SpanSample && sp.WallNS >= int64(time.Millisecond) {
+			envelope = true
+		}
 	}
 	if !found {
 		t.Error("wall mode dropped worker/wall annotations")
+	}
+	if !envelope {
+		t.Error("wall mode did not record the TimeWall envelope on the sample span")
 	}
 }
 

@@ -80,21 +80,17 @@ func (st *SampleTrace) SetWorker(w int) {
 	st.worker = w
 }
 
-// StartWall begins the sample's wall-clock envelope measurement (wall mode
-// only).
-func (st *SampleTrace) StartWall() {
+// TimeWall runs fn and, in wall mode, records its wall-clock duration as the
+// sample's envelope. A nil or simulated-only trace just calls fn, so the
+// envelope is balanced by construction on every path.
+func (st *SampleTrace) TimeWall(fn func()) {
 	if st == nil || !st.wall {
+		fn()
 		return
 	}
-	st.wallSW = StartTimer()
-}
-
-// StopWall ends the wall-clock envelope measurement.
-func (st *SampleTrace) StopWall() {
-	if st == nil || !st.wall {
-		return
-	}
-	st.wallNS = st.wallSW.ElapsedNS()
+	sw := StartTimer()
+	fn()
+	st.wallNS = sw.ElapsedNS()
 }
 
 // At returns the already-registered trace for one sample index, nil when the

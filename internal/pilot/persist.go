@@ -7,6 +7,7 @@ import (
 
 	"dynnoffload/internal/dynn"
 	"dynnoffload/internal/nn"
+	"dynnoffload/internal/sentinel"
 )
 
 // The pilot model trains offline (§IV-D) and is then deployed into the
@@ -83,17 +84,13 @@ func LoadWithMeta(r io.Reader) (*Pilot, map[string]string, error) {
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, nil, fmt.Errorf("pilot: load: %w", err)
 	}
+	if err := in.validate(); err != nil {
+		return nil, nil, fmt.Errorf("pilot: load: %w", err)
+	}
 	p := New(in.Config)
 	for i := range in.MLPs {
-		if len(in.MLPs[i].Layers) != len(p.mlps[i].Layers) {
-			return nil, nil, fmt.Errorf("pilot: load: MLP %d has %d layers, want %d",
-				i, len(in.MLPs[i].Layers), len(p.mlps[i].Layers))
-		}
 		for j, pl := range in.MLPs[i].Layers {
 			l := p.mlps[i].Layers[j]
-			if len(pl.W) != len(l.W) || len(pl.B) != len(l.B) {
-				return nil, nil, fmt.Errorf("pilot: load: MLP %d layer %d shape mismatch", i, j)
-			}
 			copy(l.W, pl.W)
 			copy(l.B, pl.B)
 			l.Act = nn.Activation(pl.Act)
@@ -103,4 +100,56 @@ func LoadWithMeta(r io.Reader) (*Pilot, map[string]string, error) {
 	p.labelMean, p.labelStd = in.LabelMean, in.LabelStd
 	p.normLabels = map[*ModelContext][]float64{}
 	return p, in.Meta, nil
+}
+
+// validate rejects a file New cannot build from or Save would not write:
+// non-positive widths or block counts, MLP shapes that disagree with the
+// configuration, unknown activations, and missing or misshapen scalers.
+// Shapes are checked against the stored weights before any MLP is built, so
+// a malformed configuration can neither panic New nor make it allocate more
+// than the file itself holds.
+func (in *persistedPilot) validate() error {
+	cfg := in.Config
+	cfg.defaults()
+	width := cfg.Features.Width()
+	switch {
+	case cfg.Neurons <= 0:
+		return fmt.Errorf("%d neurons per layer", cfg.Neurons)
+	case cfg.MaxBlocks <= 0:
+		return fmt.Errorf("%d max blocks", cfg.MaxBlocks)
+	case cfg.Features.Segments <= 0 || width <= 0:
+		return fmt.Errorf("%d feature segments", cfg.Features.Segments)
+	}
+	// New builds layers of widths [width, Neurons, Neurons, MaxBlocks ×
+	// DescriptorLen]; every comparison divides, so an overflowing product
+	// can never match.
+	outWidth := func(n int) bool {
+		return n%sentinel.DescriptorLen == 0 && n/sentinel.DescriptorLen == cfg.MaxBlocks
+	}
+	ins := [3]int{width, cfg.Neurons, cfg.Neurons}
+	for i, m := range in.MLPs {
+		if len(m.Layers) != len(ins) {
+			return fmt.Errorf("MLP %d has %d layers, want %d", i, len(m.Layers), len(ins))
+		}
+		for j, l := range m.Layers {
+			out := len(l.B)
+			outOK := out == cfg.Neurons
+			if j == len(ins)-1 {
+				outOK = outWidth(out)
+			}
+			if !outOK || len(l.W)%out != 0 || len(l.W)/out != ins[j] {
+				return fmt.Errorf("MLP %d layer %d shape mismatch", i, j)
+			}
+			if l.Act < int(nn.LeakyReLU) || l.Act > int(nn.Identity) {
+				return fmt.Errorf("MLP %d layer %d: unknown activation %d", i, j, l.Act)
+			}
+		}
+	}
+	if len(in.FeatMean) != width || len(in.FeatStd) != width {
+		return fmt.Errorf("feature scalers have widths %d/%d, want %d", len(in.FeatMean), len(in.FeatStd), width)
+	}
+	if !outWidth(len(in.LabelMean)) || len(in.LabelStd) != len(in.LabelMean) {
+		return fmt.Errorf("label scalers have widths %d/%d, want %d blocks", len(in.LabelMean), len(in.LabelStd), cfg.MaxBlocks)
+	}
+	return nil
 }

@@ -241,27 +241,6 @@ func TestPipelineEstimateSanity(t *testing.T) {
 	}
 }
 
-func TestFetchIDsMatchBytes(t *testing.T) {
-	tr, cm := chainTrace(t, 8, 2048, 2048)
-	an := NewAnalysis(tr, cm)
-	b := Block{2, 6}
-	prev := Block{0, 2}
-	var sum int64
-	for _, id := range an.FetchIDs(b, prev) {
-		sum += an.BytesOf(id)
-	}
-	if sum != an.FetchBytes(b, prev) {
-		t.Errorf("FetchIDs total %d != FetchBytes %d", sum, an.FetchBytes(b, prev))
-	}
-	var esum int64
-	for _, id := range an.EvictIDs(b, 6) {
-		esum += an.BytesOf(id)
-	}
-	if esum != an.EvictBytes(b, 6) {
-		t.Errorf("EvictIDs total %d != EvictBytes %d", esum, an.EvictBytes(b, 6))
-	}
-}
-
 func TestRandomTracePartitionProperty(t *testing.T) {
 	rng := mathx.NewRNG(99)
 	for trial := 0; trial < 10; trial++ {
