@@ -59,9 +59,10 @@ perfbench-test:
 # FuzzPartition (the Sentinel partitioner), FuzzPlanSignature (plan
 # signatures), FuzzNearestPath (the pilot's nearest-path scan against a naive
 # scan), FuzzMemPool (the GPU residency pool against a map-backed model),
-# FuzzParseSpec (the fault-spec parser: no panic; accepted specs round-trip)
-# and FuzzLoad (pilot.LoadWithMeta: no panic; an accepted file re-saves to
-# identical bytes). Each -fuzz pattern needs its own go test invocation; seed
+# FuzzParseSpec (the fault-spec parser: no panic; accepted specs round-trip),
+# FuzzLoad (pilot.LoadWithMeta: no panic; an accepted file re-saves to
+# identical bytes) and FuzzParseTenants (the dynnserve tenant DSL: no panic;
+# every accepted tenant is within bounds). Each -fuzz pattern needs its own go test invocation; seed
 # corpora live under the packages' testdata/fuzz/. CI runs this with a short
 # FUZZTIME as a smoke pass; raise it locally to dig (e.g. make fuzz
 # FUZZTIME=10m).
@@ -73,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMemPool$$' -fuzztime $(FUZZTIME) ./internal/gpusim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/pilot
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTenants$$' -fuzztime $(FUZZTIME) ./cmd/dynnserve
 
 # Coverage gate over the internal packages: fails below COVER_MIN% total.
 # Leaves coverage.out behind for inspection / CI artifact upload.

@@ -343,11 +343,13 @@ func BenchmarkServeStep(b *testing.B) {
 	cfg.Plans = w.Plans
 	eng := core.NewEngine(cfg, w.Pilot)
 	b.ResetTimer()
-	rep, err := serve.Run(&serve.Backend{Engine: eng, Pool: mb.Test}, serve.Config{
-		Tenants: []serve.TenantConfig{{
-			Name: "bench", Requests: b.N, RatePerSec: 1e6,
-			Seed: benchOpts().Seed + 7, MaxQueue: b.N,
-		}},
+	rep, err := serve.RunCluster(&serve.ClusterBackend{Engines: []*core.Engine{eng}, Pool: mb.Test}, serve.ClusterConfig{
+		Config: serve.Config{
+			Tenants: []serve.TenantConfig{{
+				Name: "bench", Requests: b.N, RatePerSec: 1e6,
+				Seed: benchOpts().Seed + 7, MaxQueue: b.N,
+			}},
+		},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -185,7 +185,7 @@ func (s *System) cluster(cs clusterSettings) (*Cluster, error) {
 		tracer: cs.tracer, onDemand: cs.onDemand, online: cs.online,
 	}
 	// Validate the wiring now, not on first use.
-	if _, err := distributed.New(c.trainConfig(), c.engines(false)); err != nil {
+	if _, err := distributed.New(c.trainConfig(), c.engines()); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -211,23 +211,13 @@ func (c *Cluster) trainConfig() distributed.Config {
 	}
 }
 
-// engines builds one fresh engine per GPU sharing the system's pilot: each
-// gets its own allocator, streams, fault injector, and mis-prediction cache,
-// so runs replay bit-identically. Serving engines memoize repeated requests
-// (unless WithOnDemandServing), and because the replicas resolve through the
-// same pilots they share one resolution memo, built fresh for each call;
-// training engines never memoize.
-func (c *Cluster) engines(serving bool) []*core.Engine {
-	memo := core.NewResolutionMemo()
+// engines builds one fresh training engine per GPU sharing the system's
+// pilot: each gets its own allocator, streams, fault injector, and
+// mis-prediction cache, so runs replay bit-identically.
+func (c *Cluster) engines() []*core.Engine {
 	engines := make([]*core.Engine, c.gpus)
 	for i := range engines {
-		ecfg := c.sys.engineConfig()
-		if serving {
-			ecfg.ForceOnDemand = c.onDemand
-			ecfg.MemoizeSamples = !c.onDemand
-			ecfg.Resolutions = memo
-		}
-		engines[i] = core.NewEngine(ecfg, c.sys.pilot)
+		engines[i] = core.NewEngine(c.sys.engineConfig(), c.sys.pilot)
 	}
 	return engines
 }
@@ -245,7 +235,7 @@ func (c *Cluster) TrainEpoch(samples []*dynn.Sample) (*ClusterEpochReport, error
 	if err != nil {
 		return nil, err
 	}
-	dc, err := distributed.New(c.trainConfig(), c.engines(false))
+	dc, err := distributed.New(c.trainConfig(), c.engines())
 	if err != nil {
 		return nil, err
 	}
@@ -255,27 +245,15 @@ func (c *Cluster) TrainEpoch(samples []*dynn.Sample) (*ClusterEpochReport, error
 // Serve runs the multi-tenant serving front-end across the cluster's GPU
 // replicas: one shared admission queue, home-affinity placement with
 // least-loaded spill, per-replica memory ledgers, and (when configured)
-// elastic replica scaling on sustained queue-delay pressure. Serving engines
-// memoize repeated requests, mirroring System.Serve.
+// elastic replica scaling on sustained queue-delay pressure. It shares its
+// serving path and engine builder with System.Serve, so a one-GPU cluster
+// serves exactly as the system does.
 func (c *Cluster) Serve(pool []*dynn.Sample, cfg ClusterConfig) (*ClusterReport, error) {
-	if c.sys.pilot == nil {
-		return nil, fmt.Errorf("dynnoffload: %w (call TrainPilot)", ErrPilotNotTrained)
-	}
-	if cfg.Replicas != 0 && cfg.Replicas != c.gpus {
-		return nil, fmt.Errorf("%w: %d replicas on a %d-GPU cluster", ErrBadCluster, cfg.Replicas, c.gpus)
-	}
-	exs, err := c.sys.Examples(pool)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = c.sys.cfg.Workers
-	}
 	if cfg.Tracer == nil {
 		cfg.Tracer = c.tracer
 	}
 	if !cfg.Online.Enabled {
 		cfg.Online = c.online
 	}
-	return serve.RunCluster(&serve.ClusterBackend{Engines: c.engines(true), Pool: exs}, cfg)
+	return c.sys.serve(pool, cfg, c.gpus, c.onDemand)
 }

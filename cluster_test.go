@@ -120,13 +120,6 @@ func TestClusterFacadeErrors(t *testing.T) {
 	}); !errors.Is(err, ErrPilotNotTrained) {
 		t.Errorf("Serve before pilot: err = %v, want ErrPilotNotTrained", err)
 	}
-	trained, pool := clusterFixture(t, WithGPUs(2))
-	if _, err := trained.Serve(pool, ClusterConfig{
-		Replicas: 3,
-		Config:   ServeConfig{Tenants: []ServeTenant{{Name: "a", Requests: 1, RatePerSec: 1}}},
-	}); !errors.Is(err, ErrBadCluster) {
-		t.Errorf("replica mismatch: err = %v, want ErrBadCluster", err)
-	}
 }
 
 // TestWithMemoryPressure: the option shrinks the simulated GPU below the

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -230,6 +231,9 @@ func run(model, tenantSpec string, st settings) error {
 
 // parseTenants parses the ';'-separated tenant spec list. Quotas are device
 // fractions; unset seeds derive from the base seed and the tenant's position.
+// Every tenant needs a positive finite rate; quotas lie in [0, 1], and
+// requests, slo and maxqueue are never negative, so no value can silently
+// mean "unbounded" (a NaN quota would convert to a negative byte count).
 func parseTenants(spec string, gpuMem int64, baseSeed uint64) ([]dynnoffload.ServeTenant, error) {
 	var tcs []dynnoffload.ServeTenant
 	for i, one := range strings.Split(spec, ";") {
@@ -242,6 +246,7 @@ func parseTenants(spec string, gpuMem int64, baseSeed uint64) ([]dynnoffload.Ser
 			return nil, fmt.Errorf("tenant spec %q: want name:key=value,...", one)
 		}
 		tc := dynnoffload.ServeTenant{Name: name, Requests: 100, Seed: baseSeed + uint64(i+1)*7919}
+		var quota float64
 		for _, kv := range strings.Split(kvs, ",") {
 			k, v, ok := strings.Cut(kv, "=")
 			if !ok {
@@ -258,9 +263,7 @@ func parseTenants(spec string, gpuMem int64, baseSeed uint64) ([]dynnoffload.Ser
 				d, err = time.ParseDuration(v)
 				tc.SLONS = int64(d)
 			case "quota":
-				var f float64
-				f, err = strconv.ParseFloat(v, 64)
-				tc.QuotaBytes = int64(f * float64(gpuMem))
+				quota, err = strconv.ParseFloat(v, 64)
 			case "maxqueue":
 				tc.MaxQueue, err = strconv.Atoi(v)
 			case "seed":
@@ -272,6 +275,15 @@ func parseTenants(spec string, gpuMem int64, baseSeed uint64) ([]dynnoffload.Ser
 				return nil, fmt.Errorf("tenant %q: %s: %v", name, kv, err)
 			}
 		}
+		switch {
+		case !(tc.RatePerSec > 0) || math.IsInf(tc.RatePerSec, 1):
+			return nil, fmt.Errorf("tenant %q: rate must be positive and finite", name)
+		case !(quota >= 0 && quota <= 1):
+			return nil, fmt.Errorf("tenant %q: quota must be a device fraction in [0, 1]", name)
+		case tc.Requests < 0 || tc.SLONS < 0 || tc.MaxQueue < 0:
+			return nil, fmt.Errorf("tenant %q: requests, slo and maxqueue must not be negative", name)
+		}
+		tc.QuotaBytes = int64(quota * float64(gpuMem))
 		tcs = append(tcs, tc)
 	}
 	return tcs, nil

@@ -37,16 +37,11 @@ type Config struct {
 	// HandleMispredictions enables the §IV-E mis-prediction cache: identical
 	// pilot outputs that previously mis-predicted reuse the corrected blocks.
 	HandleMispredictions bool
-	// FaultLatencyNS is charged per execution block when a sample falls back
-	// to on-demand fetching (the tensor-fault handler round trip).
-	FaultLatencyNS int64
 	// Faults, when non-nil and enabled, injects deterministic transfer and
 	// allocation faults into the simulated device; the engine recovers via
-	// the Retry policy and the degradation ladder. Nil means fault-free.
+	// the retry budget (RetryMaxAttempts, RetryBackoffNS) and the
+	// degradation ladder. Nil means fault-free.
 	Faults *faults.Injector
-	// Retry bounds the recovery ladder's re-issue loop. Zero fields take the
-	// defaults in NewEngine.
-	Retry RetryPolicy
 	// ForceOnDemand routes every sample through the on-demand path,
 	// regardless of prediction outcome — the FaultSweep baseline.
 	ForceOnDemand bool
@@ -84,22 +79,19 @@ type Config struct {
 	NoPlanCache bool
 }
 
-// RetryPolicy bounds retry-with-exponential-backoff: a faulted operation is
-// re-issued at most MaxAttempts times in total, waiting BackoffNS of
-// simulated time before the first retry and doubling each subsequent one.
-// After the budget is exhausted the ladder degrades instead of failing:
-// transfers fall back to a fault-blind blocking copy, allocations to
-// evict-and-retry — ErrCapacityExceeded surfaces only when eviction cannot
-// free enough space.
-type RetryPolicy struct {
-	MaxAttempts int
-	BackoffNS   int64
-}
+// FaultLatencyNS is charged per execution block when a sample falls back to
+// on-demand fetching (the tensor-fault handler round trip).
+const FaultLatencyNS int64 = 25_000
 
-// Default retry policy applied by NewEngine for zero fields.
+// The recovery ladder's retry budget: a faulted operation is re-issued at
+// most RetryMaxAttempts times in total, waiting RetryBackoffNS of simulated
+// time before the first retry and doubling each subsequent one. After the
+// budget is exhausted the ladder degrades instead of failing: transfers fall
+// back to a fault-blind blocking copy, allocations to evict-and-retry —
+// ErrCapacityExceeded surfaces only when eviction cannot free enough space.
 const (
-	DefaultRetryAttempts  = 4
-	DefaultRetryBackoffNS = 2_000
+	RetryMaxAttempts       = 4
+	RetryBackoffNS   int64 = 2_000
 )
 
 // DefaultConfig returns the runtime defaults for a platform.
@@ -107,8 +99,6 @@ func DefaultConfig(p gpusim.Platform) Config {
 	return Config{
 		Platform:             p,
 		HandleMispredictions: true,
-		FaultLatencyNS:       25_000,
-		Retry:                RetryPolicy{MaxAttempts: DefaultRetryAttempts, BackoffNS: DefaultRetryBackoffNS},
 	}
 }
 
@@ -136,12 +126,6 @@ type Engine struct {
 
 // NewEngine builds a runtime around a trained pilot.
 func NewEngine(cfg Config, p *pilot.Pilot) *Engine {
-	if cfg.Retry.MaxAttempts <= 0 {
-		cfg.Retry.MaxAttempts = DefaultRetryAttempts
-	}
-	if cfg.Retry.BackoffNS <= 0 {
-		cfg.Retry.BackoffNS = DefaultRetryBackoffNS
-	}
 	e := &Engine{
 		Cfg: cfg, CM: gpusim.NewCostModel(cfg.Platform), Pilot: p,
 		cache: newShardedCache(), memo: newShardedCache(),

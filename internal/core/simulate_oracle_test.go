@@ -79,8 +79,8 @@ func (e *Engine) oraclePipelined(an *sentinel.Analysis, blocks []sentinel.Block,
 			bytes := an.BytesOf(id)
 			if fs.Alloc() {
 				// Transient allocator pressure: wait it out on the DES clock.
-				backoff := e.Cfg.Retry.BackoffNS
-				for attempt := 1; attempt < e.Cfg.Retry.MaxAttempts; attempt++ {
+				backoff := RetryBackoffNS
+				for attempt := 1; attempt < RetryMaxAttempts; attempt++ {
 					st.Retry(obsv.LaneHost, block, ready, backoff, 0, attempt)
 					fs.NoteRetry(backoff)
 					ready += backoff
@@ -156,9 +156,9 @@ func (e *Engine) oraclePipelined(an *sentinel.Analysis, blocks []sentinel.Block,
 			start = e.xfer(streams, gpusim.LaneH2D, fs, start, e.CM.BatchedXferTime(droppedBytes),
 				st, obsv.SpanOnDemand, i, droppedBytes)
 			bd.H2DBytes += droppedBytes
-			bd.FaultNS += e.Cfg.FaultLatencyNS
+			bd.FaultNS += FaultLatencyNS
 			bd.Faults++
-			st.Span(obsv.SpanFault, obsv.LaneHost, i, start, e.Cfg.FaultLatencyNS, 0)
+			st.Span(obsv.SpanFault, obsv.LaneHost, i, start, FaultLatencyNS, 0)
 			fs.NoteOnDemandFallback()
 			if start, err = addAll(an.WorkingIDs(blocks[i]), start, i); err != nil {
 				return bd, err
@@ -230,11 +230,11 @@ func (e *Engine) oracleOnDemand(an *sentinel.Analysis, blocks []sentinel.Block, 
 	if an.PeakResidentBytes() <= e.Cfg.Platform.GPU.MemBytes {
 		// Fits on GPU: the wrong prediction costs only the fault round trip.
 		bd.ComputeNS = an.TotalComputeNS()
-		bd.FaultNS = e.Cfg.FaultLatencyNS
+		bd.FaultNS = FaultLatencyNS
 		bd.Faults = 1
 		bd.PeakGPUBytes = an.PeakResidentBytes()
 		if st != nil {
-			cursor := e.Cfg.FaultLatencyNS
+			cursor := FaultLatencyNS
 			st.Span(obsv.SpanFault, obsv.LaneHost, 0, 0, cursor, 0)
 			for i := range blocks {
 				c := an.ComputeNS(blocks[i])
@@ -256,7 +256,7 @@ func (e *Engine) oracleOnDemand(an *sentinel.Analysis, blocks []sentinel.Block, 
 	xferNS := func(kind obsv.SpanKind, lane string, block int, bytes int64) int64 {
 		dur := e.CM.BatchedXferTime(bytes)
 		var total int64
-		backoff := e.Cfg.Retry.BackoffNS
+		backoff := RetryBackoffNS
 		for attempt := 0; ; attempt++ {
 			f := fs.Transfer()
 			if !f.Abort {
@@ -266,7 +266,7 @@ func (e *Engine) oracleOnDemand(an *sentinel.Analysis, blocks []sentinel.Block, 
 			}
 			st.Retry(lane, block, cursor+total, dur/2, bytes, attempt+1)
 			total += dur / 2 // wasted mid-flight time
-			if attempt+1 >= e.Cfg.Retry.MaxAttempts {
+			if attempt+1 >= RetryMaxAttempts {
 				fs.NoteSyncFallback()
 				st.Span(kind, lane, block, cursor+total, dur, bytes)
 				return total + dur
@@ -292,10 +292,10 @@ func (e *Engine) oracleOnDemand(an *sentinel.Analysis, blocks []sentinel.Block, 
 			bd.ExposedXferNS += d
 			cursor += d
 		}
-		bd.FaultNS += e.Cfg.FaultLatencyNS
+		bd.FaultNS += FaultLatencyNS
 		bd.Faults++
-		st.Span(obsv.SpanFault, obsv.LaneHost, i, cursor, e.Cfg.FaultLatencyNS, 0)
-		cursor += e.Cfg.FaultLatencyNS
+		st.Span(obsv.SpanFault, obsv.LaneHost, i, cursor, FaultLatencyNS, 0)
+		cursor += FaultLatencyNS
 		blockCompute := an.ComputeNS(b)
 		st.Span(obsv.SpanCompute, obsv.LaneCompute, i, cursor, blockCompute, 0)
 		cursor += blockCompute

@@ -2,10 +2,6 @@ package expt
 
 import (
 	"fmt"
-
-	"dynnoffload/internal/core"
-	"dynnoffload/internal/pilot"
-	"dynnoffload/internal/serve"
 )
 
 // ClusterSweepGPUs is the replica grid of the cluster capacity sweep.
@@ -44,7 +40,7 @@ func ClusterSweepStats(wb *Workbench) ([]ClusterSweepStat, error) {
 		}
 		st := ClusterSweepStat{Model: mb.Entry.Name, TodNS: mean, SLONS: serveSweepSLOFactor * worst}
 		for _, g := range ClusterSweepGPUs {
-			q, err := wb.clusterMaxQPS(mb, pool, g, mean, st.SLONS)
+			q, err := wb.maxQPS(mb, pool, g, false, mean, st.SLONS)
 			if err != nil {
 				return nil, err
 			}
@@ -90,70 +86,4 @@ func ClusterSweepTable(stats []ClusterSweepStat) *Table {
 		tab.Rows = append(tab.Rows, append(row, scale))
 	}
 	return tab
-}
-
-// clusterMaxQPS finds the highest offered rate the g-replica pool sustains,
-// walking the grid (scaled by g) bottom-up and bisecting the knee — the
-// cluster analogue of serveMaxQPS.
-func (wb *Workbench) clusterMaxQPS(mb *ModelBench, pool []*pilot.Example, gpus int, todNS, sloNS int64) (float64, error) {
-	base := float64(gpus) * 1e9 / float64(todNS)
-	var lo float64
-	hi := -1.0
-	for _, u := range ServeSweepUtil {
-		rate := u * base
-		ok, err := wb.clusterSustains(mb, pool, gpus, rate, sloNS)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			hi = rate
-			break
-		}
-		lo = rate
-	}
-	if hi < 0 {
-		return lo, nil
-	}
-	for i := 0; i < serveSweepBisect; i++ {
-		mid := (lo + hi) / 2
-		ok, err := wb.clusterSustains(mb, pool, gpus, mid, sloNS)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
-}
-
-// clusterSustains plays one sweep point through serve.RunCluster: the same
-// two-tenant split as ServeSweep, gpus fresh engines as the replica pool.
-func (wb *Workbench) clusterSustains(mb *ModelBench, pool []*pilot.Example, gpus int, rate float64, sloNS int64) (bool, error) {
-	requests := len(pool)
-	half := mb.Platform.GPU.MemBytes / 2
-	engines := make([]*core.Engine, gpus)
-	for i := range engines {
-		engines[i] = wb.serveEngine(mb, false)
-	}
-	cfg := serve.ClusterConfig{
-		Config: serve.Config{
-			Tenants: []serve.TenantConfig{
-				{Name: "a", Requests: requests / 2, RatePerSec: rate / 2,
-					Seed: wb.Opts.Seed + 101, QuotaBytes: half, SLONS: sloNS},
-				{Name: "b", Requests: requests - requests/2, RatePerSec: rate / 2,
-					Seed: wb.Opts.Seed + 202, QuotaBytes: half, SLONS: sloNS},
-			},
-			Workers: wb.Opts.Workers,
-		},
-	}
-	rep, err := serve.RunCluster(&serve.ClusterBackend{Engines: engines, Pool: pool}, cfg)
-	if err != nil {
-		return false, err
-	}
-	return rep.Total.Completed > 0 &&
-		rep.Total.Completed == rep.Total.Arrivals &&
-		rep.Total.P99NS <= sloNS, nil
 }

@@ -172,9 +172,9 @@ func benchServeSteps(w *Workbench, mb *ModelBench, n int) (int64, int, error) {
 		}},
 		Workers: w.Opts.Workers,
 	}
-	backend := &serve.Backend{Engine: wbServeEngine(w, mb), Pool: mb.Test}
+	backend := &serve.ClusterBackend{Engines: []*core.Engine{wbServeEngine(w, mb)}, Pool: mb.Test}
 	sw := obsv.StartTimer()
-	rep, err := serve.Run(backend, cfg)
+	rep, err := serve.RunCluster(backend, serve.ClusterConfig{Config: cfg})
 	ns := sw.ElapsedNS()
 	if err != nil {
 		return 0, 0, fmt.Errorf("expt: %s serve_step: %w", mb.Entry.Name, err)

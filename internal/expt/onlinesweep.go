@@ -134,7 +134,7 @@ func (wb *Workbench) onlineSweepModel(mb *ModelBench) (onlineSweepRow, error) {
 // the given rate against a fresh non-memoizing engine. frozen selects the
 // ObserveOnly control arm; both arms share every other knob, so the only
 // difference between their outcome streams is whether retrains fire.
-func (wb *Workbench) onlinePoint(mb *ModelBench, pool []*pilot.Example, ratePerSec float64, frozen bool) (*serve.Report, error) {
+func (wb *Workbench) onlinePoint(mb *ModelBench, pool []*pilot.Example, ratePerSec float64, frozen bool) (*serve.ClusterReport, error) {
 	cfg := serve.Config{
 		Tenants: []serve.TenantConfig{{
 			Name: "t", Requests: onlineSweepRequests, RatePerSec: ratePerSec,
@@ -152,7 +152,8 @@ func (wb *Workbench) onlinePoint(mb *ModelBench, pool []*pilot.Example, ratePerS
 			Seed:             wb.Opts.Seed,
 		},
 	}
-	return serve.Run(&serve.Backend{Engine: wb.onlineEngine(mb), Pool: pool}, cfg)
+	return serve.RunCluster(&serve.ClusterBackend{Engines: []*core.Engine{wb.onlineEngine(mb)}, Pool: pool},
+		serve.ClusterConfig{Config: cfg})
 }
 
 // onlineEngine builds a fresh engine per arm with the caching layers that

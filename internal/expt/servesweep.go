@@ -95,10 +95,10 @@ func (wb *Workbench) sweepModel(mb *ModelBench) (serveSweepRow, error) {
 		return row, nil
 	}
 	row.sloNS = serveSweepSLOFactor * worst
-	if row.engineQPS, err = wb.serveMaxQPS(mb, pool, false, mean, row.sloNS); err != nil {
+	if row.engineQPS, err = wb.maxQPS(mb, pool, 1, false, mean, row.sloNS); err != nil {
 		return row, err
 	}
-	if row.odQPS, err = wb.serveMaxQPS(mb, pool, true, mean, row.sloNS); err != nil {
+	if row.odQPS, err = wb.maxQPS(mb, pool, 1, true, mean, row.sloNS); err != nil {
 		return row, err
 	}
 	return row, nil
@@ -133,18 +133,19 @@ func (wb *Workbench) serveCalibrate(mb *ModelBench, pool []*pilot.Example) (mean
 	return meanNS, worstNS, xferBytes, nil
 }
 
-// serveMaxQPS finds the highest offered rate (req/s) the system sustains:
-// every request completes and the combined p99 stays at or under the SLO. It
-// walks the load grid bottom-up to bracket the knee (stopping at the first
-// unsustained point — offered load only grows from there), then bisects the
+// maxQPS finds the highest offered rate (req/s) a pool of gpus replicas
+// sustains: every request completes and the combined p99 stays at or under
+// the SLO. It walks the load grid (scaled by gpus, so the knee stays inside
+// it at every width) bottom-up to bracket the knee, stopping at the first
+// unsustained point — offered load only grows from there — then bisects the
 // bracket so capacity differences finer than the grid step still resolve.
-func (wb *Workbench) serveMaxQPS(mb *ModelBench, pool []*pilot.Example, onDemand bool, todNS, sloNS int64) (float64, error) {
-	base := 1e9 / float64(todNS)
+func (wb *Workbench) maxQPS(mb *ModelBench, pool []*pilot.Example, gpus int, onDemand bool, todNS, sloNS int64) (float64, error) {
+	base := float64(gpus) * 1e9 / float64(todNS)
 	var lo float64 // highest sustained rate
 	hi := -1.0     // lowest unsustained rate
 	for _, u := range ServeSweepUtil {
 		rate := u * base
-		ok, err := wb.serveSustains(mb, pool, onDemand, rate, sloNS)
+		ok, err := wb.sustains(mb, pool, gpus, onDemand, rate, sloNS)
 		if err != nil {
 			return 0, err
 		}
@@ -159,7 +160,7 @@ func (wb *Workbench) serveMaxQPS(mb *ModelBench, pool []*pilot.Example, onDemand
 	}
 	for i := 0; i < serveSweepBisect; i++ {
 		mid := (lo + hi) / 2
-		ok, err := wb.serveSustains(mb, pool, onDemand, mid, sloNS)
+		ok, err := wb.sustains(mb, pool, gpus, onDemand, mid, sloNS)
 		if err != nil {
 			return 0, err
 		}
@@ -172,32 +173,35 @@ func (wb *Workbench) serveMaxQPS(mb *ModelBench, pool []*pilot.Example, onDemand
 	return lo, nil
 }
 
-// serveSustains plays one sweep point and applies the sustainability test.
-func (wb *Workbench) serveSustains(mb *ModelBench, pool []*pilot.Example, onDemand bool, rate float64, sloNS int64) (bool, error) {
-	rep, err := wb.servePoint(mb, pool, onDemand, rate, sloNS)
+// sustains plays one sweep point through serve.RunCluster — two equal
+// tenants splitting the offered rate, each holding half the device as quota,
+// both under the same SLO, against gpus fresh replicas — and applies the
+// sustainability test.
+func (wb *Workbench) sustains(mb *ModelBench, pool []*pilot.Example, gpus int, onDemand bool, rate float64, sloNS int64) (bool, error) {
+	requests := len(pool)
+	half := mb.Platform.GPU.MemBytes / 2
+	engines := make([]*core.Engine, gpus)
+	for i := range engines {
+		engines[i] = wb.serveEngine(mb, onDemand)
+	}
+	cfg := serve.ClusterConfig{
+		Config: serve.Config{
+			Tenants: []serve.TenantConfig{
+				{Name: "a", Requests: requests / 2, RatePerSec: rate / 2,
+					Seed: wb.Opts.Seed + 101, QuotaBytes: half, SLONS: sloNS},
+				{Name: "b", Requests: requests - requests/2, RatePerSec: rate / 2,
+					Seed: wb.Opts.Seed + 202, QuotaBytes: half, SLONS: sloNS},
+			},
+			Workers: wb.Opts.Workers,
+		},
+	}
+	rep, err := serve.RunCluster(&serve.ClusterBackend{Engines: engines, Pool: pool}, cfg)
 	if err != nil {
 		return false, err
 	}
 	return rep.Total.Completed > 0 &&
 		rep.Total.Completed == rep.Total.Arrivals &&
 		rep.Total.P99NS <= sloNS, nil
-}
-
-// servePoint plays one sweep point: two equal tenants splitting the offered
-// rate, each holding half the device as quota, both under the same SLO.
-func (wb *Workbench) servePoint(mb *ModelBench, pool []*pilot.Example, onDemand bool, rate float64, sloNS int64) (*serve.Report, error) {
-	requests := len(pool)
-	half := mb.Platform.GPU.MemBytes / 2
-	cfg := serve.Config{
-		Tenants: []serve.TenantConfig{
-			{Name: "a", Requests: requests / 2, RatePerSec: rate / 2,
-				Seed: wb.Opts.Seed + 101, QuotaBytes: half, SLONS: sloNS},
-			{Name: "b", Requests: requests - requests/2, RatePerSec: rate / 2,
-				Seed: wb.Opts.Seed + 202, QuotaBytes: half, SLONS: sloNS},
-		},
-		Workers: wb.Opts.Workers,
-	}
-	return serve.Run(&serve.Backend{Engine: wb.serveEngine(mb, onDemand), Pool: pool}, cfg)
 }
 
 // serveEngine builds a fresh engine per sweep cell — the mis-prediction cache

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -188,9 +189,15 @@ func TestClusterConfigErrors(t *testing.T) {
 	if _, err := RunCluster(&ClusterBackend{}, ClusterConfig{Config: twoTenants(b, 100, 5)}); err == nil {
 		t.Error("empty backend should fail")
 	}
-	bad := ClusterConfig{Config: twoTenants(b, 100, 5), Replicas: 3}
-	if _, err := RunCluster(be, bad); err == nil {
-		t.Error("replica/engine mismatch should fail")
+	for _, rate := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := RunCluster(be, ClusterConfig{Config: twoTenants(b, rate, 5)}); err == nil {
+			t.Errorf("rate %v should fail", rate)
+		}
+	}
+	dup := twoTenants(b, 100, 5)
+	dup.Tenants[1].Name = dup.Tenants[0].Name
+	if _, err := RunCluster(be, ClusterConfig{Config: dup}); err == nil {
+		t.Error("duplicate tenant names should fail")
 	}
 	be.Engines[1] = nil
 	if _, err := RunCluster(be, ClusterConfig{Config: twoTenants(b, 100, 5)}); err == nil {

@@ -26,7 +26,7 @@ func TestServeDeterminism(t *testing.T) {
 			}
 			cfg := twoTenants(b, 4000, 30)
 			cfg.Workers = workers
-			rep, err := Run(b.backend(ecfg), cfg)
+			rep, err := b.run(ecfg, cfg)
 			if err != nil {
 				t.Fatalf("rate=%v workers=%d: %v", fc.Rate, workers, err)
 			}
@@ -54,7 +54,7 @@ func TestServeTraceDeterminism(t *testing.T) {
 		cfg := twoTenants(b, 4000, 15)
 		cfg.Workers = workers
 		cfg.Tracer = obsv.NewTracer()
-		if _, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg); err != nil {
+		if _, err := b.run(core.DefaultConfig(b.plat), cfg); err != nil {
 			t.Fatal(err)
 		}
 		var sb strings.Builder

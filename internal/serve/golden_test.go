@@ -58,8 +58,8 @@ func digestEngineConfig(b *bench, fc faults.Config) core.Config {
 	return ecfg
 }
 
-// serveDigests runs Run over {online off/on} x faults x rates with a flight
-// recorder and a serial-layout tracer.
+// serveDigests runs one replica over {online off/on} x faults x rates with a
+// flight recorder and a serial-layout tracer.
 func serveDigests(t *testing.T, b *bench) map[string]string {
 	out := map[string]string{}
 	for _, learn := range []bool{false, true} {
@@ -71,7 +71,7 @@ func serveDigests(t *testing.T, b *bench) map[string]string {
 				if learn {
 					cfg.Online = onlineConfig(false)
 				}
-				rep, err := Run(b.backend(digestEngineConfig(b, fc)), cfg)
+				rep, err := b.run(digestEngineConfig(b, fc), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

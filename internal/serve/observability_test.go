@@ -21,7 +21,7 @@ func TestServeAttributionSumsToLatency(t *testing.T) {
 	b := testServeBench(t)
 	cfg := twoTenants(b, 4000, 30)
 	cfg.Flight = obsv.FlightConfig{Events: 4096} // big enough that nothing wraps
-	rep, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg)
+	rep, err := b.run(core.DefaultConfig(b.plat), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestServeFlightRecorder(t *testing.T) {
 	cfg := twoTenants(b, 4000, 10)
 	cfg.Tenants[0].SLONS = 1 // unmeetable: every completion breaches
 	cfg.Flight = obsv.FlightConfig{Events: 64, MaxSnapshots: 2}
-	rep, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg)
+	rep, err := b.run(core.DefaultConfig(b.plat), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestServeFlightRecorder(t *testing.T) {
 	}
 	// Disabled recording leaves the report clean.
 	cfg.Flight = obsv.FlightConfig{}
-	rep2, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg)
+	rep2, err := b.run(core.DefaultConfig(b.plat), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestServeOnlineZeroValueIsInert(t *testing.T) {
 		if explicitZero {
 			cfg.Online = online.Config{}
 		}
-		rep, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg)
+		rep, err := b.run(core.DefaultConfig(b.plat), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestServeObserveOnlyMatchesDisabled(t *testing.T) {
 		if enabled {
 			cfg.Online = onlineConfig(true)
 		}
-		rep, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg)
+		rep, err := b.run(core.DefaultConfig(b.plat), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestServeOnlineDeterminism(t *testing.T) {
 			cfg := twoTenants(b, 4000, 30)
 			cfg.Workers = workers
 			cfg.Online = onlineConfig(false)
-			rep, err := Run(b.backend(ecfg), cfg)
+			rep, err := b.run(ecfg, cfg)
 			if err != nil {
 				t.Fatalf("rate=%v workers=%d: %v", fc.Rate, workers, err)
 			}
@@ -133,7 +133,7 @@ func TestServeOnlineRetrainAttribution(t *testing.T) {
 	oc := onlineConfig(false)
 	oc.RetrainCostNS = 50_000 // large enough that queued requests overlap a stall
 	cfg.Online = oc
-	rep, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg)
+	rep, err := b.run(core.DefaultConfig(b.plat), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

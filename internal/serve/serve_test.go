@@ -65,8 +65,14 @@ func testServeBench(t *testing.T) *bench {
 	return &benchVal
 }
 
-func (b *bench) backend(cfg core.Config) *Backend {
-	return &Backend{Engine: core.NewEngine(cfg, b.p), Pool: b.pool}
+// run serves cfg on one replica built from ecfg and returns its serving
+// report.
+func (b *bench) run(ecfg core.Config, cfg Config) (*Report, error) {
+	rep, err := RunCluster(b.clusterBackend(1, ecfg), ClusterConfig{Config: cfg})
+	if err != nil {
+		return nil, err
+	}
+	return &rep.Report, nil
 }
 
 // twoTenants is a moderate-load baseline config: two tenants sharing the
@@ -86,7 +92,7 @@ func twoTenants(b *bench, rate float64, requests int) Config {
 func TestServeBasic(t *testing.T) {
 	b := testServeBench(t)
 	cfg := twoTenants(b, 2000, 40)
-	rep, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg)
+	rep, err := b.run(core.DefaultConfig(b.plat), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +129,7 @@ func TestServeBackpressureSheds(t *testing.T) {
 	cfg := twoTenants(b, 1e6, 60) // absurd offered load
 	cfg.Tenants[0].MaxQueue = 2
 	cfg.Tenants[1].MaxQueue = 2
-	rep, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg)
+	rep, err := b.run(core.DefaultConfig(b.plat), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +145,7 @@ func TestServeQuotaShedsImpossible(t *testing.T) {
 	b := testServeBench(t)
 	cfg := twoTenants(b, 2000, 10)
 	cfg.Tenants[1].QuotaBytes = 1 // nothing fits
-	rep, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg)
+	rep, err := b.run(core.DefaultConfig(b.plat), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +164,7 @@ func TestServeSLOViolationsCounted(t *testing.T) {
 	cfg := twoTenants(b, 2000, 20)
 	cfg.Tenants[0].SLONS = 1 // unmeetable
 	cfg.Tenants[1].SLONS = 1
-	rep, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg)
+	rep, err := b.run(core.DefaultConfig(b.plat), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +177,7 @@ func TestServeTracesQueueSpans(t *testing.T) {
 	b := testServeBench(t)
 	cfg := twoTenants(b, 5000, 15)
 	cfg.Tracer = obsv.NewTracer()
-	rep, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg)
+	rep, err := b.run(core.DefaultConfig(b.plat), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +202,7 @@ func TestServeRegistryExposition(t *testing.T) {
 	b := testServeBench(t)
 	cfg := twoTenants(b, 5000, 10)
 	cfg.Registry = obsv.NewRegistry()
-	if _, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg); err != nil {
+	if _, err := b.run(core.DefaultConfig(b.plat), cfg); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -214,14 +220,14 @@ func TestServeRegistryExposition(t *testing.T) {
 
 func TestServeConfigErrors(t *testing.T) {
 	b := testServeBench(t)
-	if _, err := Run(b.backend(core.DefaultConfig(b.plat)), Config{}); err == nil {
+	if _, err := b.run(core.DefaultConfig(b.plat), Config{}); err == nil {
 		t.Error("no tenants should fail")
 	}
 	cfg := twoTenants(b, 0, 5) // zero rate
-	if _, err := Run(b.backend(core.DefaultConfig(b.plat)), cfg); err == nil {
+	if _, err := b.run(core.DefaultConfig(b.plat), cfg); err == nil {
 		t.Error("zero rate should fail")
 	}
-	if _, err := Run(&Backend{}, twoTenants(b, 100, 5)); err == nil {
+	if _, err := RunCluster(&ClusterBackend{}, ClusterConfig{Config: twoTenants(b, 100, 5)}); err == nil {
 		t.Error("empty backend should fail")
 	}
 }
@@ -244,11 +250,11 @@ func TestServeStarvationGuard(t *testing.T) {
 			Workers:         2,
 		}
 	}
-	guarded, err := Run(b.backend(core.DefaultConfig(b.plat)), mk(2e6))
+	guarded, err := b.run(core.DefaultConfig(b.plat), mk(2e6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	unguarded, err := Run(b.backend(core.DefaultConfig(b.plat)), mk(-1))
+	unguarded, err := b.run(core.DefaultConfig(b.plat), mk(-1))
 	if err != nil {
 		t.Fatal(err)
 	}

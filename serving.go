@@ -84,7 +84,8 @@ var (
 // load shedding, and an SLO-aware scheduler forms continuous batches that
 // dispatch through the engine. Everything advances on the simulated clock, so
 // identical (seed, config) inputs replay bit-identical scheduling decisions
-// and latency aggregates at any worker count.
+// and latency aggregates at any worker count. It is the one-GPU case of
+// Cluster.Serve, without building a cluster.
 //
 // The serving engine memoizes repeated requests (Config.MemoizeSamples): a
 // re-submitted identical job reuses its pilot resolution while the pilot's
@@ -94,6 +95,16 @@ var (
 // serving runs on its own engine so cache state never leaks between the two
 // worlds.
 func (s *System) Serve(pool []*dynn.Sample, cfg ServeConfig) (*ServeReport, error) {
+	rep, err := s.serve(pool, ClusterConfig{Config: cfg}, 1, false)
+	if err != nil {
+		return nil, err
+	}
+	return &rep.Report, nil
+}
+
+// serve is the one serving path under System.Serve and Cluster.Serve: it
+// encodes the pool and runs cfg on gpus fresh serving engines.
+func (s *System) serve(pool []*dynn.Sample, cfg ClusterConfig, gpus int, onDemand bool) (*ClusterReport, error) {
 	if s.pilot == nil {
 		return nil, fmt.Errorf("dynnoffload: %w (call TrainPilot)", ErrPilotNotTrained)
 	}
@@ -101,11 +112,27 @@ func (s *System) Serve(pool []*dynn.Sample, cfg ServeConfig) (*ServeReport, erro
 	if err != nil {
 		return nil, err
 	}
-	ecfg := s.engineConfig()
-	ecfg.MemoizeSamples = true
-	eng := core.NewEngine(ecfg, s.pilot)
 	if cfg.Workers == 0 {
 		cfg.Workers = s.cfg.Workers
 	}
-	return serve.Run(&serve.Backend{Engine: eng, Pool: exs}, cfg)
+	return serve.RunCluster(&serve.ClusterBackend{Engines: s.servingEngines(gpus, onDemand), Pool: exs}, cfg)
+}
+
+// servingEngines builds n fresh engines sharing the system's pilot: each gets
+// its own allocator, streams, fault injector, and mis-prediction cache, so
+// runs replay bit-identically. They memoize repeated requests unless
+// onDemand forces every request through the on-demand path, and because they
+// resolve through the same pilots they share one resolution memo, built
+// fresh for each call.
+func (s *System) servingEngines(n int, onDemand bool) []*core.Engine {
+	memo := core.NewResolutionMemo()
+	engines := make([]*core.Engine, n)
+	for i := range engines {
+		ecfg := s.engineConfig()
+		ecfg.ForceOnDemand = onDemand
+		ecfg.MemoizeSamples = !onDemand
+		ecfg.Resolutions = memo
+		engines[i] = core.NewEngine(ecfg, s.pilot)
+	}
+	return engines
 }
