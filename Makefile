@@ -1,10 +1,8 @@
 GO ?= go
 FUZZTIME ?= 20s
 COVER_MIN ?= 70
-BENCH_BASELINE ?= BENCH_PR10.json
-BENCH_REGRESS ?= 25
 
-.PHONY: build test check race race-full fmt vet lint bench benchcheck perfbench-test fuzz cover trace serve-smoke cluster-smoke
+.PHONY: build test check race race-full fmt vet lint bench perfbench-test fuzz cover trace serve-smoke cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -38,16 +36,13 @@ race:
 race-full:
 	$(GO) test -race ./...
 
+# Host-time benchmarks (testing.B): every paper table and figure plus the
+# runtime's hot loops. Not a gate; compare repeated runs with benchstat
+# (e.g. go test -run='^$' -bench=GraphResolve -count=10 . > new.txt). The
+# gate on the hot loops is their allocation counts: TestHotPathAllocs in
+# internal/expt, part of the test target.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
-
-# Benchmark-regression gate: re-run the hot-path suite (graph_resolve,
-# des_iteration, plan_cache_hit/miss, serve_step, online_retrain) and fail on
-# any ns/op more than BENCH_REGRESS% over the committed baseline. Leaves
-# bench-current.json behind for inspection / CI artifact upload.
-benchcheck:
-	$(GO) run ./cmd/dynnbench -benchjson bench-current.json \
-		-benchbaseline $(BENCH_BASELINE) -benchregress $(BENCH_REGRESS)
 
 # The whole-run benchmark's own tests (its statistics and the
 # BENCHMARK.json <-> metric catalog check). perfbench is a separate module
@@ -61,11 +56,13 @@ perfbench-test:
 # scan), FuzzMemPool (the GPU residency pool against a map-backed model),
 # FuzzParseSpec (the fault-spec parser: no panic; accepted specs round-trip),
 # FuzzLoad (pilot.LoadWithMeta: no panic; an accepted file re-saves to
-# identical bytes) and FuzzParseTenants (the dynnserve tenant DSL: no panic;
-# every accepted tenant is within bounds). Each -fuzz pattern needs its own go test invocation; seed
-# corpora live under the packages' testdata/fuzz/. CI runs this with a short
-# FUZZTIME as a smoke pass; raise it locally to dig (e.g. make fuzz
-# FUZZTIME=10m).
+# identical bytes), FuzzParseTenants (the dynnserve tenant DSL: no panic;
+# every accepted tenant is within bounds) and FuzzReadChromeTrace (the
+# Chrome-trace reader and the analyses on what it loads: no panic; loaded
+# spans write and read back equal). Each -fuzz pattern needs its own go
+# test invocation; seed corpora live under the packages' testdata/fuzz/. CI
+# runs this with a short FUZZTIME as a smoke pass; raise it locally to dig
+# (e.g. make fuzz FUZZTIME=10m).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime $(FUZZTIME) ./internal/dynn
 	$(GO) test -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime $(FUZZTIME) ./internal/sentinel
@@ -75,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/pilot
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTenants$$' -fuzztime $(FUZZTIME) ./cmd/dynnserve
+	$(GO) test -run '^$$' -fuzz '^FuzzReadChromeTrace$$' -fuzztime $(FUZZTIME) ./internal/obsv
 
 # Coverage gate over the internal packages: fails below COVER_MIN% total.
 # Leaves coverage.out behind for inspection / CI artifact upload.

@@ -17,6 +17,7 @@ import (
 	"dynnoffload/internal/core"
 	"dynnoffload/internal/expt"
 	"dynnoffload/internal/graph"
+	"dynnoffload/internal/online"
 	"dynnoffload/internal/serve"
 )
 
@@ -356,5 +357,30 @@ func BenchmarkServeStep(b *testing.B) {
 	}
 	if int(rep.Total.Completed) != b.N {
 		b.Fatalf("completed %d of %d requests", rep.Total.Completed, b.N)
+	}
+}
+
+// BenchmarkOnlineRetrain times one online-learning retrain stall: with
+// TrainingInterval 1 every Observe pays the replay-ring insert, the seeded
+// minibatch draw and the shared-pilot Refine. The ring is filled past the
+// minibatch size before the timer starts, so each retrain samples at the
+// steady-state width.
+func BenchmarkOnlineRetrain(b *testing.B) {
+	w := workbench(b)
+	exs := w.Bench("Tree-LSTM").Test
+	l, err := online.New(online.Config{Enabled: true, TrainingInterval: 1}, w.Pilot, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := l.Observe(0, exs[i%len(exs)], i%3 == 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.Observe(0, exs[i%len(exs)], i%3 == 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

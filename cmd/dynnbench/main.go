@@ -42,10 +42,6 @@ func main() {
 		faultSpec   = flag.String("faults", "", "deterministic fault injection, e.g. seed=7,rate=0.05[,stall=4]")
 		clusterJSON = flag.String("clusterjson", "", "write the clustersweep capacity curves (QPS vs GPU count per model) as JSON to this file")
 		traceFile   = flag.String("trace", "", "run one traced epoch of -model and write a Chrome Trace Event Format JSON file (Perfetto-loadable); skips -exp")
-		benchJSON   = flag.String("benchjson", "", "time the hot paths of -model (graph_resolve, des_iteration, plan_cache_hit/miss, serve_step, online_retrain) and write the results as JSON to this file (e.g. BENCH_PR10.json); skips -exp")
-		benchIters  = flag.Int("benchiters", 200, "iterations per -benchjson hot-path loop")
-		benchBase   = flag.String("benchbaseline", "", "with -benchjson: committed baseline JSON to compare against; exits 1 on any ns/op regression beyond -benchregress")
-		benchMaxReg = flag.Float64("benchregress", 25, "with -benchbaseline: maximum tolerated ns/op regression, percent")
 		model       = flag.String("model", "Tree-LSTM", "zoo model for -trace")
 		traceWall   = flag.Bool("tracewall", false, "annotate the -trace spans with wall-clock worker data (trace is then not bit-identical across runs)")
 		serve       = flag.String("serve", "", "serve live Prometheus metrics and net/http/pprof on this address (e.g. :8080) while experiments run, then block")
@@ -114,8 +110,6 @@ func main() {
 	var err error
 	if *traceFile != "" {
 		err = runTrace(*traceFile, *model, opts, *traceWall, reg)
-	} else if *benchJSON != "" {
-		err = runMicroBench(*benchJSON, *model, *benchIters, opts, *benchBase, *benchMaxReg)
 	} else {
 		err = run(*exp, opts, sink, *statsJSON, *clusterJSON)
 	}
@@ -175,55 +169,6 @@ func runTrace(path, model string, opts expt.Options, wall bool, reg *obsv.Regist
 		o.Efficiency*100, float64(o.HiddenNS)/1e6, float64(o.TransferNS)/1e6, o.PCIeUtil*100)
 	fmt.Println("inspect: dynntrace", path, " — or load into https://ui.perfetto.dev")
 	return nil
-}
-
-// runMicroBench times the runtime's hot paths (expt.MicroBench) for the
-// named zoo model and writes the results as indented JSON (e.g.
-// BENCH_PR8.json). With a baseline file it then applies the benchmark-
-// regression gate: any ns/op beyond maxRegress percent over the committed
-// baseline fails the run.
-func runMicroBench(path, model string, iters int, opts expt.Options, baseline string, maxRegress float64) error {
-	fmt.Printf("building %s bench + pilot...\n", model)
-	wb, err := expt.NewSingleModelWorkbench(model, opts)
-	if err != nil {
-		return err
-	}
-	results, err := expt.MicroBench(wb, model, iters)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		return err
-	}
-	for _, r := range results {
-		fmt.Printf("%-16s %10d iters  %12.1f ns/op\n", r.Name, r.Iters, r.NsPerOp)
-	}
-	fmt.Printf("wrote %d benchmark records to %s\n", len(results), path)
-	if baseline == "" {
-		return nil
-	}
-
-	raw, err := os.ReadFile(baseline)
-	if err != nil {
-		return fmt.Errorf("benchcheck baseline: %w", err)
-	}
-	var base []expt.MicroBenchResult
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("benchcheck baseline %s: %w", baseline, err)
-	}
-	lines, cmpErr := expt.CompareBench(results, base, maxRegress)
-	fmt.Printf("benchcheck against %s (limit +%.0f%%):\n", baseline, maxRegress)
-	for _, l := range lines {
-		fmt.Println(" ", l)
-	}
-	return cmpErr
 }
 
 // printList writes the experiment and runner registries — the same sources

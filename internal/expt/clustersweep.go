@@ -9,7 +9,8 @@ var ClusterSweepGPUs = []int{1, 2, 4}
 
 // ClusterSweepStat is one migrating model's capacity curve: the maximum
 // offered rate the replica pool sustains at the model's fixed p99 SLO, per
-// GPU count. The bench harness serializes these to BENCH_PR6.json.
+// GPU count. dynnbench -clusterjson serializes these (CI writes
+// cluster-sweep.json).
 type ClusterSweepStat struct {
 	Model string    `json:"model"`
 	TodNS int64     `json:"od_iter_ns"`

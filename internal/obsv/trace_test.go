@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,17 +69,75 @@ func TestCheckChromeTraceRejects(t *testing.T) {
 		{"anonymous metadata", `{"traceEvents": [{"name":"thread_name","ph":"M","pid":1,"tid":1}]}`, "without args.name"},
 		{"unknown metadata", `{"traceEvents": [{"name":"counter_name","ph":"M","pid":1,"tid":1}]}`, "unknown metadata"},
 		{"bad instant scope", `{"traceEvents": [{"name":"x","ph":"i","ts":0,"pid":1,"tid":1,"s":"z"}]}`, "instant event scope"},
+		{"unnamed instant", `{"traceEvents": [{"ph":"i","ts":0,"pid":1,"tid":1}]}`, "i event without name"},
+		{"negative X dur", `{"traceEvents": [{"name":"x","ph":"X","ts":0,"dur":-5,"pid":1,"tid":2}]}`, "non-negative dur"},
+		{"negative instant dur", `{"traceEvents": [{"name":"x","ph":"i","ts":0,"dur":-5,"pid":1,"tid":1}]}`, "non-negative dur"},
+		{"huge ts", `{"traceEvents": [{"name":"x","ph":"X","ts":1e300,"dur":5,"pid":1,"tid":2}]}`, "beyond"},
+		{"huge dur", `{"traceEvents": [{"name":"x","ph":"X","ts":0,"dur":1e300,"pid":1,"tid":2}]}`, "beyond"},
+		{"negative block", `{"traceEvents": [{"name":"x","ph":"X","ts":0,"dur":5,"pid":1,"tid":2,"args":{"block":-2}}]}`, "negative block"},
 	}
+	// The reader refuses every per-event violation the validator refuses,
+	// instead of loading it into spans; only the file-level checks are the
+	// validator's alone.
+	fileLevel := map[string]bool{"not json": true, "empty": true}
 	for _, tc := range cases {
 		err := CheckChromeTrace(strings.NewReader(tc.file))
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.wantErr)
+		}
+		if fileLevel[tc.name] {
+			continue
+		}
+		if _, _, err := ReadChromeTrace(strings.NewReader(tc.file)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: ReadChromeTrace err = %v, want containing %q", tc.name, err, tc.wantErr)
 		}
 	}
 	ok := `{"traceEvents": [{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"h2d"}}]}`
 	if err := CheckChromeTrace(strings.NewReader(ok)); err != nil {
 		t.Errorf("valid minimal trace rejected: %v", err)
 	}
+}
+
+// FuzzReadChromeTrace: no input makes ReadChromeTrace, or the analyses
+// dynntrace runs on what it returns, panic; and every span set it returns
+// is written and read back unchanged.
+func FuzzReadChromeTrace(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, traceFixture(), ChromeMeta{Label: "fixture", LinkBWBytesPerSec: 12.8e9}); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		buf.String(), `{"traceEvents": []}`, `{"traceEvents": [`,
+		`{"traceEvents": [{"name":"x","ph":"X","ts":0.0015,"dur":3,"pid":1,"tid":7}]}`,
+		`{"traceEvents": [{"name":"thread_name","ph":"M","pid":1,"tid":9,"args":{"name":"link/0"}},` +
+			`{"name":"x","ph":"X","ts":2,"dur":1,"pid":1,"tid":9,"args":{"request":3,"tenant":"a","block":1}}]}`,
+		`{"traceEvents": [{"name":"x","ph":"i","ts":1e12,"dur":1e12,"pid":1,"tid":3}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spans, meta, err := ReadChromeTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		tl := NewTimeline(spans, meta.LinkBWBytesPerSec)
+		tl.Overlap()
+		tl.ASCII(io.Discard, 16)
+		tl.Blocks()
+		AssembleRequests(spans)
+
+		var out bytes.Buffer
+		if err := WriteChromeTrace(&out, spans, meta); err != nil {
+			t.Fatal(err)
+		}
+		again, _, err := ReadChromeTrace(&out)
+		if err != nil {
+			t.Fatalf("written trace does not read back: %v\n%s", err, out.String())
+		}
+		if !reflect.DeepEqual(again, spans) {
+			t.Fatalf("round trip diverged:\ngot  %+v\nwant %+v", again, spans)
+		}
+	})
 }
 
 func TestTracerCanonicalTimeline(t *testing.T) {
