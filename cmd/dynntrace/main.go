@@ -9,6 +9,10 @@
 //	dynntrace -blocks trace.json     # also the per-block breakdown
 //	dynntrace -requests 10 trace.json # per-request causal timelines (serving traces)
 //	dynntrace -check trace.json      # validate structure, exit 1 on errors
+//
+// Every mode loads only files that pass -check: X, i and M events, with
+// process_name and thread_name as the only metadata. A trace re-saved by
+// another tool with other phases (B/E, C) or metadata is rejected.
 package main
 
 import (
