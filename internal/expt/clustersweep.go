@@ -76,15 +76,15 @@ func ClusterSweepTable(stats []ClusterSweepStat) *Table {
 		},
 	}
 	for _, st := range stats {
-		row := []string{st.Model, ms(st.TodNS), ms(st.SLONS)}
+		row := []cell{txt(st.Model), msCell(st.TodNS), msCell(st.SLONS)}
 		for _, q := range st.QPS {
 			row = append(row, qps(q))
 		}
-		scale := "-"
+		scale := txt("-")
 		if st.QPS[0] > 0 {
-			scale = fmt.Sprintf("%.2fx", st.QPS[len(st.QPS)-1]/st.QPS[0])
+			scale = val("%.2fx", st.QPS[len(st.QPS)-1]/st.QPS[0])
 		}
-		tab.Rows = append(tab.Rows, append(row, scale))
+		tab.addRow(append(row, scale)...)
 	}
 	return tab
 }

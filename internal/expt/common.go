@@ -25,6 +25,36 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+
+	// raw holds, per row and column, the unrounded value a cell was
+	// formatted from. Drivers whose tables are goldened fill it through
+	// addRow, so the golden tests can pin what display rounding hides.
+	raw [][]any
+}
+
+// cell is one table cell: its display text and the unrounded value behind
+// it.
+type cell struct {
+	text string
+	raw  any
+}
+
+// val formats v for display and keeps v itself as the cell's raw value.
+func val(format string, v any) cell { return cell{fmt.Sprintf(format, v), v} }
+
+// txt is a cell that shows s as it is.
+func txt(s string) cell { return cell{s, s} }
+
+// addRow appends a row of cells: their texts to Rows, their raw values to
+// raw.
+func (t *Table) addRow(cells ...cell) {
+	row := make([]string, len(cells))
+	raw := make([]any, len(cells))
+	for i, c := range cells {
+		row[i], raw[i] = c.text, c.raw
+	}
+	t.Rows = append(t.Rows, row)
+	t.raw = append(t.raw, raw)
 }
 
 // Fprint renders the table with aligned columns.
@@ -307,6 +337,9 @@ func (wb *Workbench) systemEpoch(mb *ModelBench, system string) (gpusim.Breakdow
 
 // ms renders nanoseconds as milliseconds.
 func ms(ns int64) string { return fmt.Sprintf("%.1f", float64(ns)/1e6) }
+
+// msCell is an ms cell that keeps the nanoseconds as its raw value.
+func msCell(ns int64) cell { return cell{ms(ns), ns} }
 
 // ratio renders a/b.
 func ratio(a, b int64) string {

@@ -52,15 +52,15 @@ func Fig10(wb *Workbench) (*Table, error) {
 		}
 		eff := rep.ThroughputPerSec / (float64(g) * base.ThroughputPerSec)
 		overheadUS := float64(rep.Report.PilotNS+rep.Report.MappingNS) / 1e3 / float64(rep.Report.Samples)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", g),
-			ms(rep.MakespanNS),
-			ms(rep.AllReduceNS),
-			fmt.Sprintf("%.1f", float64(rep.CommBytes)/float64(1<<20)),
-			fmt.Sprintf("%.1f", rep.ThroughputPerSec),
-			fmt.Sprintf("%.2f", eff),
-			fmt.Sprintf("%.1f", overheadUS),
-		})
+		t.addRow(
+			val("%d", g),
+			msCell(rep.MakespanNS),
+			msCell(rep.AllReduceNS),
+			val("%.1f", float64(rep.CommBytes)/float64(1<<20)),
+			val("%.1f", rep.ThroughputPerSec),
+			val("%.2f", eff),
+			val("%.1f", overheadUS),
+		)
 	}
 	t.Notes = append(t.Notes,
 		"paper: proportional scaling to 4 GPUs, slower beyond (inter-node communication); pilot overhead constant at all scales",

@@ -77,7 +77,7 @@ func OnlineSweep(wb *Workbench) (*Table, error) {
 		if !mb.Entry.Dynamic {
 			// A static model has one path: the pilot is trivially exact and a
 			// mispredict trajectory carries no information.
-			tab.Rows = append(tab.Rows, []string{mb.Entry.Name, "static (1 path)", "-", "-", "-", "-", "-", "-", "-"})
+			tab.addRow(skipRow(mb.Entry.Name, "static (1 path)", 9)...)
 			continue
 		}
 		row, err := wb.onlineSweepModel(mb)
@@ -85,16 +85,16 @@ func OnlineSweep(wb *Workbench) (*Table, error) {
 			return nil, err
 		}
 		if !row.migrating {
-			tab.Rows = append(tab.Rows, []string{row.name, "no (fits GPU)", "-", "-", "-", "-", "-", "-", "-"})
+			tab.addRow(skipRow(row.name, "no (fits GPU)", 9)...)
 			continue
 		}
-		tab.Rows = append(tab.Rows, []string{
-			row.name, "yes",
+		tab.addRow(
+			txt(row.name), txt("yes"),
 			rate(row.frozenFirst), rate(row.frozenLast),
 			rate(row.onlineFirst), rate(row.onlineLast),
-			fmt.Sprint(row.retrains), ms(row.retrainNS),
-			fmt.Sprintf("%+.3f", row.frozenLast-row.onlineLast),
-		})
+			val("%d", row.retrains), msCell(row.retrainNS),
+			val("%+.3f", row.frozenLast-row.onlineLast),
+		)
 	}
 	return tab, nil
 }
@@ -171,9 +171,19 @@ func (wb *Workbench) onlineEngine(mb *ModelBench) *core.Engine {
 }
 
 // rate renders a windowed mispredict rate.
-func rate(v float64) string {
+func rate(v float64) cell {
 	if v < 0 {
-		return "-"
+		return txt("-")
 	}
-	return fmt.Sprintf("%.3f", v)
+	return val("%.3f", v)
+}
+
+// skipRow is a row of n cells for a model the sweep skips: its name, the
+// reason, and "-" for every measured column.
+func skipRow(name, reason string, n int) []cell {
+	row := []cell{txt(name), txt(reason)}
+	for len(row) < n {
+		row = append(row, txt("-"))
+	}
+	return row
 }

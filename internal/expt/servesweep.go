@@ -63,17 +63,17 @@ func ServeSweep(wb *Workbench) (*Table, error) {
 			return nil, err
 		}
 		if !row.migrating {
-			tab.Rows = append(tab.Rows, []string{row.name, "no (fits GPU)", ms(row.todNS), "-", "-", "-", "-"})
+			tab.addRow(txt(row.name), txt("no (fits GPU)"), msCell(row.todNS), txt("-"), txt("-"), txt("-"), txt("-"))
 			continue
 		}
-		gain := "-"
+		gain := txt("-")
 		if row.odQPS > 0 {
-			gain = fmt.Sprintf("%.2fx", row.engineQPS/row.odQPS)
+			gain = val("%.2fx", row.engineQPS/row.odQPS)
 		}
-		tab.Rows = append(tab.Rows, []string{
-			row.name, "yes", ms(row.todNS), ms(row.sloNS),
+		tab.addRow(
+			txt(row.name), txt("yes"), msCell(row.todNS), msCell(row.sloNS),
 			qps(row.engineQPS), qps(row.odQPS), gain,
-		})
+		)
 	}
 	return tab, nil
 }
@@ -224,12 +224,12 @@ func (wb *Workbench) serveEngine(mb *ModelBench, onDemand bool) *core.Engine {
 
 // qps renders a requests-per-second rate, keeping precision for the slow
 // models whose sustainable rates sit below 10 req/s.
-func qps(v float64) string {
+func qps(v float64) cell {
 	if v <= 0 {
-		return "0"
+		return cell{"0", v}
 	}
 	if v < 10 {
-		return fmt.Sprintf("%.2f", v)
+		return val("%.2f", v)
 	}
-	return fmt.Sprintf("%.0f", v)
+	return val("%.0f", v)
 }

@@ -49,9 +49,7 @@ func TableI(numSamples int, seed uint64) (*Table, error) {
 	}
 	labels := []string{"[0.0,0.2)", "[0.2,0.4)", "[0.4,0.6)", "[0.6,0.8)", "[0.8,1.0]"}
 	for i, n := range buckets {
-		t.Rows = append(t.Rows, []string{
-			labels[i], fmt.Sprintf("%d", n), fmt.Sprintf("%.1f%%", 100*float64(n)/float64(len(jds))),
-		})
+		t.addRow(txt(labels[i]), val("%d", n), val("%.1f%%", 100*float64(n)/float64(len(jds))))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("mean JD=%.3f std=%.3f p50=%.3f p90=%.3f over %d samples — wide divergence defeats PGO prefetch",

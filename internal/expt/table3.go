@@ -123,11 +123,11 @@ func TableIII(layers, hidden, seqLen int) (*Table, error) {
 		if system == "pytorch" {
 			base = b
 		}
-		rel := "-"
+		rel := txt("-")
 		if base > 0 {
-			rel = fmt.Sprintf("%.2fx", float64(b)/float64(base))
+			rel = val("%.2fx", float64(b)/float64(base))
 		}
-		t.Rows = append(t.Rows, []string{system, fmt.Sprintf("%d", b), rel})
+		t.addRow(txt(system), val("%d", b), rel)
 	}
 	t.Notes = append(t.Notes, "paper: UVM 1.17x, DTR 1.7x, DyNN-Offload 3.6x",
 		fmt.Sprintf("model: var-BERT %d layers, hidden %d, seq %d", layers, hidden, seqLen))

@@ -59,14 +59,14 @@ func TableIV(opts Options) (*Table, error) {
 			delta = fmt.Sprintf(" (%+.2f)", acc-prevAcc)
 		}
 		prevAcc = acc
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.3f%s", acc, delta),
-			fmt.Sprintf("%d/%d", mis, len(test)),
-			fmt.Sprintf("%.1f", float64(lat.Nanoseconds())/1e3),
-			fmt.Sprintf("%.1f", res.WallClock.Seconds()),
-			fmt.Sprintf("%d", p.Params()),
-		})
+		t.addRow(
+			val("%d", n),
+			cell{fmt.Sprintf("%.3f%s", acc, delta), acc},
+			cell{fmt.Sprintf("%d/%d", mis, len(test)), mis},
+			val("%.1f", float64(lat.Nanoseconds())/1e3),
+			val("%.1f", res.WallClock.Seconds()),
+			val("%d", p.Params()),
+		)
 	}
 	t.Notes = append(t.Notes,
 		"paper: accuracy +0.12 at 256->512 then flattens; inference time ~2x per doubling; 512 chosen",
@@ -111,14 +111,14 @@ func Fig11(opts Options) (*Table, error) {
 	idiomW := (pilot.FeatureConfig{Repr: pilot.IdiomRepr}).Width()
 	idW := (pilot.FeatureConfig{Repr: pilot.GlobalIDRepr}).Width()
 	for _, n := range widths {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.3f", runs[0].accs[n]),
-			fmt.Sprintf("%.3f", runs[1].accs[n]),
-			fmt.Sprintf("%+.3f", runs[0].accs[n]-runs[1].accs[n]),
-			fmt.Sprintf("%d", idiomW),
-			fmt.Sprintf("%d", idW),
-		})
+		t.addRow(
+			val("%d", n),
+			val("%.3f", runs[0].accs[n]),
+			val("%.3f", runs[1].accs[n]),
+			val("%+.3f", runs[0].accs[n]-runs[1].accs[n]),
+			val("%d", idiomW),
+			val("%d", idW),
+		)
 	}
 	t.Notes = append(t.Notes, "paper: idiom representation leads by >=19% accuracy at equal model size")
 	return t, nil
