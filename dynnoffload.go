@@ -241,23 +241,20 @@ func newSystem(cfg SystemConfig) (*System, error) {
 	return s, nil
 }
 
-// pressurePlatform probes the model's paths at full memory and shrinks the
+// pressurePlatform analyzes the model's paths at full memory (no
+// partitioning or labelling: only their footprints are read) and shrinks the
 // GPU to fraction of the largest footprint, floored at the double-buffer
 // minimum (9/4 of the largest single operator); host memory scales to hold
 // the offloaded remainder.
 func pressurePlatform(m dynn.Model, plat gpusim.Platform, fraction float64) (gpusim.Platform, error) {
-	probe, err := pilot.NewModelContext(m, gpusim.NewCostModel(plat), 0, 0)
+	paths, err := pilot.AnalyzePaths(m, gpusim.NewCostModel(plat))
 	if err != nil {
 		return plat, err
 	}
 	var maxPeak, maxOp int64
-	for _, info := range probe.Paths {
-		if b := info.Analysis.PeakResidentBytes(); b > maxPeak {
-			maxPeak = b
-		}
-		if b := info.Analysis.MaxSingleOpBytes(); b > maxOp {
-			maxOp = b
-		}
+	for _, info := range paths {
+		maxPeak = max(maxPeak, info.Analysis.PeakResidentBytes())
+		maxOp = max(maxOp, info.Analysis.MaxSingleOpBytes())
 	}
 	budget := int64(fraction * float64(maxPeak))
 	if floor := 9 * maxOp / 4; budget < floor {

@@ -89,32 +89,16 @@ func NewModelContext(m dynn.Model, cm gpusim.CostModel, budget int64, maxBlocks 
 	if maxBlocks == 0 {
 		maxBlocks = DefaultMaxBlocks
 	}
-	paths, err := graph.EnumeratePaths(m.Static())
+	paths, err := AnalyzePaths(m, cm)
 	if err != nil {
-		return nil, fmt.Errorf("pilot: %s: %w", m.Name(), err)
+		return nil, err
 	}
 	ctx := &ModelContext{
-		Model: m, CM: cm, Budget: budget, MaxBlocks: maxBlocks,
-		byKey:  map[string]*PathInfo{},
+		Model: m, CM: cm, Budget: budget, MaxBlocks: maxBlocks, Paths: paths,
+		byKey:  make(map[string]*PathInfo, len(paths)),
 		states: dynn.StateBytes(m),
 	}
-
-	// First pass: expand iterations and traces.
-	for i := range paths {
-		p := &paths[i]
-		it := graph.ExpandTraining(m.Registry(), p.Resolved, m.WeightStates(), true)
-		tr := trace.FromIteration(m.Name(), it, cm)
-		an := sentinel.NewAnalysis(tr, cm)
-		info := &PathInfo{
-			Key:       PathKey(p.Resolved),
-			Decisions: p.Decisions,
-			Iteration: it,
-			Trace:     tr,
-			Analysis:  an,
-			Stats:     iterStats(tr),
-			Sig:       graph.PathSignature(p.Resolved),
-		}
-		ctx.Paths = append(ctx.Paths, info)
+	for _, info := range paths {
 		ctx.byKey[info.Key] = info
 	}
 
@@ -129,11 +113,7 @@ func NewModelContext(m dynn.Model, cm gpusim.CostModel, budget int64, maxBlocks 
 	}
 	// The budget must admit every single operator's working set.
 	for _, info := range ctx.Paths {
-		for i := 0; i < info.Analysis.NumOps(); i++ {
-			if w := info.Analysis.WorkingBytes(sentinel.Block{Start: i, End: i + 1}); w > ctx.Budget {
-				ctx.Budget = w
-			}
-		}
+		ctx.Budget = max(ctx.Budget, info.Analysis.MaxSingleOpBytes())
 	}
 
 	// Second pass: partition and label.
@@ -149,6 +129,24 @@ func NewModelContext(m dynn.Model, cm gpusim.CostModel, budget int64, maxBlocks 
 		info.PlanKey = planKey(info.Sig, fp)
 	}
 	return ctx, nil
+}
+
+// AnalyzePaths enumerates the model's resolution paths and builds each one's
+// iteration, trace and liveness analysis: the part of NewModelContext that
+// neither partitions nor labels, so Blocks, Label and PlanKey stay unset.
+func AnalyzePaths(m dynn.Model, cm gpusim.CostModel) ([]*PathInfo, error) {
+	paths, err := graph.EnumeratePaths(m.Static())
+	if err != nil {
+		return nil, fmt.Errorf("pilot: %s: %w", m.Name(), err)
+	}
+	infos := make([]*PathInfo, len(paths))
+	for i, p := range paths {
+		it := graph.ExpandTraining(m.Registry(), p.Resolved, m.WeightStates(), true)
+		tr := trace.FromIteration(m.Name(), it, cm)
+		infos[i] = &PathInfo{Key: PathKey(p.Resolved), Decisions: p.Decisions, Iteration: it, Trace: tr,
+			Analysis: sentinel.NewAnalysis(tr, cm), Stats: iterStats(tr), Sig: graph.PathSignature(p.Resolved)}
+	}
+	return infos, nil
 }
 
 // planKey renders the compact plan-sharing key: a versioned 128-bit digest of

@@ -68,19 +68,25 @@ func NewBlockPlan(a *Analysis, blocks []Block) *BlockPlan {
 		MaxSingleOpBytes:   a.MaxSingleOpBytes(),
 		TotalBytes:         a.Trace.TotalBytes(),
 	}
+	// Every block's working IDs and sizes share one backing array each.
+	distinct := 0
+	for _, b := range blocks {
+		a.forEachTensor(b, func(int32) { distinct++ })
+	}
+	ids, sizes := make([]int64, 0, distinct), make([]int64, 0, distinct)
 	prev := Block{}
 	for i, b := range blocks {
 		p.ComputeNS[i] = a.ComputeNS(b)
 		p.FetchBytes[i] = a.FetchBytes(b, prev)
-		ids := a.WorkingIDs(b)
-		sizes := make([]int64, len(ids))
+		first := len(ids)
 		var total int64
-		for j, id := range ids {
-			sizes[j] = a.BytesOf(id)
-			total += sizes[j]
-		}
-		p.WorkingIDs[i] = ids
-		p.WorkingIDBytes[i] = sizes
+		a.forEachTensor(b, func(x int32) {
+			ids = append(ids, a.ids[x])
+			sizes = append(sizes, a.bytesOf[x])
+			total += a.bytesOf[x]
+		})
+		p.WorkingIDs[i] = ids[first:len(ids):len(ids)]
+		p.WorkingIDBytes[i] = sizes[first:len(sizes):len(sizes)]
 		p.WorkingBytes[i] = total
 		if total > p.MaxWorkingBytes {
 			p.MaxWorkingBytes = total
