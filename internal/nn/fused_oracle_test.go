@@ -1,0 +1,138 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"dynnoffload/internal/mathx"
+)
+
+// oracleTrainStepFrom is TrainStepFrom as it was before the fused momentum
+// step, kept as the test oracle for momentumStep: backpropagation first
+// (MatVecT and the derivative, layer by layer down to from), then, layer by
+// layer from the bottom up, Scale of the velocities, OuterAxpy and Axpy of
+// the gradient into them, and Axpy of the velocities into the weights.
+func oracleTrainStepFrom(m *MLP, in, target []float64, lr, momentum float64, from int) float64 {
+	out := m.Forward(in)
+	last := len(m.Layers) - 1
+	var loss float64
+	for i, o := range out {
+		d := o - target[i]
+		loss += d * d
+		m.deltas[last][i] = 2 * d * m.Layers[last].Act.deriv(o)
+	}
+	loss /= float64(len(out))
+	if nrm := mathx.L2(m.deltas[last]); nrm > gradClip {
+		mathx.Scale(gradClip/nrm, m.deltas[last])
+	}
+
+	// Backpropagate deltas down to the first unfrozen layer.
+	for li := last; li > from; li-- {
+		l := m.Layers[li]
+		mathx.MatVecT(l.W, l.Out, l.In, m.deltas[li], m.deltas[li-1])
+		prev := m.acts[li]
+		for i := range m.deltas[li-1] {
+			m.deltas[li-1][i] *= m.Layers[li-1].Act.deriv(prev[i])
+		}
+	}
+	// Momentum update on the unfrozen layers.
+	for li := from; li < len(m.Layers); li++ {
+		l := m.Layers[li]
+		if l.vW == nil {
+			l.vW = make([]float64, len(l.W))
+			l.vB = make([]float64, len(l.B))
+		}
+		in := m.acts[li]
+		if momentum > 0 {
+			mathx.Scale(momentum, l.vW)
+			mathx.Scale(momentum, l.vB)
+			mathx.OuterAxpy(-lr, m.deltas[li], in, l.vW)
+			mathx.Axpy(-lr, m.deltas[li], l.vB)
+			mathx.Axpy(1, l.vW, l.W)
+			mathx.Axpy(1, l.vB, l.B)
+		} else {
+			mathx.OuterAxpy(-lr, m.deltas[li], in, l.W)
+			mathx.Axpy(-lr, m.deltas[li], l.B)
+		}
+	}
+	return loss
+}
+
+// sameBits reports the first element where two slices differ bit for bit.
+func sameBits(what string, got, want []float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s: length %d, oracle %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("%s[%d] = %v, oracle %v", what, i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// TestFusedTrainStepMatchesOracle pins TrainStepFrom to the unfused oracle
+// bit for bit — weights, biases, both velocities, and every loss — over
+// several epochs, for a full step (from = 0), a head-only step (from =
+// last) and one in between, with and without momentum. ReLU hidden layers
+// and targets copied from the current output make many deltas exactly 0, so
+// the zero-row skips are exercised on every layer.
+func TestFusedTrainStepMatchesOracle(t *testing.T) {
+	const epochs, samples = 4, 24
+	data := mathx.NewRNG(3)
+	ins := make([][]float64, samples)
+	for i := range ins {
+		ins[i] = make([]float64, 7)
+		data.NormVec(ins[i], 1)
+	}
+	for _, act := range []Activation{ReLU, LeakyReLU} {
+		base := NewMLP([]int{7, 16, 12, 5}, act, mathx.NewRNG(9))
+		last := len(base.Layers) - 1
+		for _, from := range []int{0, 1, last} {
+			for _, momentum := range []float64{0.9, 0} {
+				got, want := base.Clone(), base.Clone()
+				zeroRows := 0
+				for e := 0; e < epochs; e++ {
+					for i, in := range ins {
+						target := make([]float64, 5)
+						data.NormVec(target, 2)
+						// Half the samples ask for the output they already
+						// give on some columns: those output deltas are 0.
+						if i%2 == 0 {
+							out := want.Forward(in)
+							copy(target[:2+i%3], out)
+						}
+						lg := got.TrainStepFrom(in, target, 0.05, momentum, from)
+						lw := oracleTrainStepFrom(want, in, target, 0.05, momentum, from)
+						where := fmt.Sprintf("%v from=%d momentum=%v epoch %d sample %d", act, from, momentum, e, i)
+						if math.Float64bits(lg) != math.Float64bits(lw) {
+							t.Fatalf("%s: loss %v, oracle %v", where, lg, lw)
+						}
+						for li := from; li <= last; li++ {
+							for _, d := range want.deltas[li] {
+								if d == 0 {
+									zeroRows++
+								}
+							}
+						}
+						for li := range want.Layers {
+							g, w := got.Layers[li], want.Layers[li]
+							for _, err := range []error{
+								sameBits("W", g.W, w.W), sameBits("B", g.B, w.B),
+								sameBits("vW", g.vW, w.vW), sameBits("vB", g.vB, w.vB),
+							} {
+								if err != nil {
+									t.Fatalf("%s: layer %d: %v", where, li, err)
+								}
+							}
+						}
+					}
+				}
+				if zeroRows == 0 {
+					t.Fatalf("%v from=%d: no delta was exactly 0 — the skip paths went untested", act, from)
+				}
+			}
+		}
+	}
+}

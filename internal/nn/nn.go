@@ -255,36 +255,82 @@ func (m *MLP) TrainStepFrom(in, target []float64, lr, momentum float64, from int
 		mathx.Scale(gradClip/nrm, m.deltas[last])
 	}
 
-	// Backpropagate deltas down to the first unfrozen layer.
-	for li := last; li > from; li-- {
-		l := m.Layers[li]
-		mathx.MatVecT(l.W, l.Out, l.In, m.deltas[li], m.deltas[li-1])
-		prev := m.acts[li]
-		for i := range m.deltas[li-1] {
-			m.deltas[li-1][i] *= m.Layers[li-1].Act.deriv(prev[i])
-		}
-	}
-	// Momentum update on the unfrozen layers.
-	for li := from; li < len(m.Layers); li++ {
+	// Walk the unfrozen layers top down. Each backpropagates its deltas into
+	// the layer below with its pre-update weights, then takes its momentum
+	// step; no layer's update feeds another's, so the order of the updates
+	// does not matter.
+	for li := last; li >= from; li-- {
 		l := m.Layers[li]
 		if l.vW == nil {
 			l.vW = make([]float64, len(l.W))
 			l.vB = make([]float64, len(l.B))
 		}
-		in := m.acts[li]
+		var below []float64
+		if li > from {
+			below = m.deltas[li-1]
+		}
 		if momentum > 0 {
-			mathx.Scale(momentum, l.vW)
-			mathx.Scale(momentum, l.vB)
-			mathx.OuterAxpy(-lr, m.deltas[li], in, l.vW)
-			mathx.Axpy(-lr, m.deltas[li], l.vB)
-			mathx.Axpy(1, l.vW, l.W)
-			mathx.Axpy(1, l.vB, l.B)
+			l.momentumStep(m.deltas[li], m.acts[li], below, lr, momentum)
 		} else {
-			mathx.OuterAxpy(-lr, m.deltas[li], in, l.W)
+			if below != nil {
+				mathx.MatVecT(l.W, l.Out, l.In, m.deltas[li], below)
+			}
+			mathx.OuterAxpy(-lr, m.deltas[li], m.acts[li], l.W)
 			mathx.Axpy(-lr, m.deltas[li], l.B)
+		}
+		if below != nil {
+			prev := m.acts[li]
+			for i := range below {
+				below[i] *= m.Layers[li-1].Act.deriv(prev[i])
+			}
 		}
 	}
 	return loss
+}
+
+// momentumStep is one SGD-with-momentum update of the layer in a single pass
+// over its weight rows, given the layer's deltas and its input x. When below
+// is non-nil it first receives the backpropagated deltas W^T·delta (before
+// the activation derivative), computed with the weights as they were before
+// this step. Row by row it performs exactly the operations, in the same
+// order, of MatVecT into below, Scale(m) of the velocities, OuterAxpy and
+// Axpy of -lr·delta·x into them, and Axpy of the velocities into W and B,
+// so the result is bit-identical to those separate passes:
+//
+//   - rows whose delta is exactly 0 add nothing to below and leave v·m
+//     unchanged, as MatVecT and OuterAxpy skip them;
+//   - v·m is rounded on its own (the float64 conversion), so no platform
+//     fuses it with the following add into one multiply-add.
+func (l *Layer) momentumStep(delta, x, below []float64, lr, m float64) {
+	for c := range below {
+		below[c] = 0
+	}
+	for r, d := range delta {
+		w := l.W[r*l.In : (r+1)*l.In]
+		v := l.vW[r*l.In : (r+1)*l.In][:len(w)]
+		switch {
+		case d == 0:
+			for c := range w {
+				v[c] = float64(v[c] * m)
+				w[c] += v[c]
+			}
+		case below != nil:
+			f, x, below := -lr*d, x[:len(w)], below[:len(w)]
+			for c := range w {
+				below[c] += w[c] * d
+				v[c] = float64(v[c]*m) + f*x[c]
+				w[c] += v[c]
+			}
+		default:
+			f, x := -lr*d, x[:len(w)]
+			for c := range w {
+				v[c] = float64(v[c]*m) + f*x[c]
+				w[c] += v[c]
+			}
+		}
+		l.vB[r] = float64(l.vB[r]*m) + -lr*d
+		l.B[r] += l.vB[r]
+	}
 }
 
 // Loss returns the MSE of the network on (in, target) without updating.
