@@ -59,7 +59,8 @@ perfbench-test:
 # identical bytes), FuzzParseTenants (the dynnserve tenant DSL: no panic;
 # every accepted tenant is within bounds) and FuzzReadChromeTrace (the
 # Chrome-trace reader and the analyses on what it loads: no panic; loaded
-# spans write and read back equal). Each -fuzz pattern needs its own go
+# spans write and read back equal; any span set the writer accepts reads
+# back equal and writes again to the same bytes). Each -fuzz pattern needs its own go
 # test invocation; seed corpora live under the packages' testdata/fuzz/. CI
 # runs this with a short FUZZTIME as a smoke pass; raise it locally to dig
 # (e.g. make fuzz FUZZTIME=10m).

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"unicode/utf8"
 )
 
 // Span tracing records what the end-of-epoch aggregates cannot show: *when*,
@@ -332,8 +333,14 @@ func nsOf(us float64) int64 { return int64(math.Round(us * 1e3)) }
 // Lanes beyond the four fixed hardware queues (e.g. the cluster runtime's
 // "link/..." interconnect lanes) get thread ids 5+ in first-appearance order,
 // each announced by its own thread_name metadata event, so ReadChromeTrace
-// round-trips them by name.
+// round-trips them by name. It writes nothing and returns an error when a
+// span fails checkSpan, so every trace it writes reads back equal.
 func WriteChromeTrace(w io.Writer, spans []Span, meta ChromeMeta) error {
+	for i, sp := range spans {
+		if err := checkSpan(sp); err != nil {
+			return fmt.Errorf("obsv: chrome trace: span %d: %w", i, err)
+		}
+	}
 	procName := "dynnoffload"
 	if meta.Label != "" {
 		procName += " " + meta.Label
@@ -393,6 +400,27 @@ func WriteChromeTrace(w io.Writer, spans []Span, meta ChromeMeta) error {
 		DisplayTimeUnit: "ns",
 		OtherData:       &meta,
 	})
+}
+
+// checkSpan rejects a span ReadChromeTrace could not give back as it is: one
+// without a kind (its event would have no name) or a lane (its thread would
+// have no name), a block below -1 (written as absent, it would read back as
+// -1), a string that is not UTF-8 (JSON would replace the bad bytes), or a
+// start or duration outside [0, maxTraceNS].
+func checkSpan(sp Span) error {
+	switch {
+	case sp.Kind == "":
+		return fmt.Errorf("span without kind")
+	case sp.Lane == "":
+		return fmt.Errorf("%s span without lane", sp.Kind)
+	case sp.Block < -1:
+		return fmt.Errorf("%s span with block %d", sp.Kind, sp.Block)
+	case !utf8.ValidString(string(sp.Kind)) || !utf8.ValidString(sp.Lane) || !utf8.ValidString(sp.Tenant):
+		return fmt.Errorf("span kind, lane or tenant is not UTF-8")
+	case sp.StartNS < 0 || sp.StartNS > maxTraceNS || sp.DurNS < 0 || sp.DurNS > maxTraceNS:
+		return fmt.Errorf("%s span start %d or duration %d outside [0, %d] ns", sp.Kind, sp.StartNS, sp.DurNS, int64(maxTraceNS))
+	}
+	return nil
 }
 
 // ReadChromeTrace parses a trace written by WriteChromeTrace back into spans
@@ -477,10 +505,13 @@ func CheckChromeTrace(r io.Reader) error {
 	return nil
 }
 
-// maxTraceUS bounds event timestamps and durations: below 2^50 ns (about 13
-// days of simulated time) nsOf(usOf(ns)) == ns, and a span's start plus its
-// duration cannot overflow int64.
-const maxTraceUS = float64(1<<50) / 1e3
+// maxTraceNS and maxTraceUS bound span and event times: up to 2^50 ns (about
+// 13 days of simulated time) nsOf(usOf(ns)) == ns, and a span's start plus
+// its duration cannot overflow int64.
+const (
+	maxTraceNS = 1 << 50
+	maxTraceUS = float64(maxTraceNS) / 1e3
+)
 
 // checkEvent validates one event: a known phase, named metadata, and for
 // slices and instants a name, timestamps and durations in [0, maxTraceUS]

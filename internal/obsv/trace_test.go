@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"strings"
@@ -115,7 +116,10 @@ func FuzzReadChromeTrace(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	f.Add([]byte("\x00\x01\x01\xff\x00\x00\x00\x80\x17\x05\x00\x20\x07\x00\x00\x00" +
+		"\x02\x02\x05\xfe\xff\xff\xff\xff\x00\x00\x00\x00\x01\x02\x03\x04"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		writeReadWrite(t, spansOf(data))
 		spans, meta, err := ReadChromeTrace(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -138,6 +142,83 @@ func FuzzReadChromeTrace(f *testing.F) {
 			t.Fatalf("round trip diverged:\ngot  %+v\nwant %+v", again, spans)
 		}
 	})
+}
+
+// spansOf decodes fuzz bytes into an arbitrary span set, 16 bytes a span:
+// kinds and lanes come from vocabularies that include the empty string and
+// invalid UTF-8, blocks range over int8, and starts and durations reach past
+// both ends of the writable range.
+func spansOf(data []byte) []Span {
+	kinds := []SpanKind{"", SpanCompute, SpanPilot, SpanMapping, SpanPrefetch, "ad hoc <kind>", "\xff"}
+	lanes := []string{"", LaneHost, LaneCompute, LaneH2D, LaneD2H, "link/0", "link/1", "\xfe"}
+	tenants := []string{"", "a", "b\"c", "\xc3"}
+	var spans []Span
+	for ; len(data) >= 16; data = data[16:] {
+		b := data[:16]
+		start := int64(int32(binary.LittleEndian.Uint32(b[4:8]))) << (b[8] % 24)
+		dur := int64(int16(binary.LittleEndian.Uint16(b[9:11]))) << (b[11] % 48)
+		spans = append(spans, Span{
+			Sample: int(int8(b[0])), Kind: kinds[int(b[1])%len(kinds)], Lane: lanes[int(b[2])%len(lanes)],
+			Block: int(int8(b[3])), StartNS: start, DurNS: dur,
+			Bytes: int64(b[12]) << 20, Attempt: int(b[13] % 4),
+			Mispredicted: b[13]&0x10 != 0, CacheHit: b[13]&0x20 != 0,
+			Request: int64(int8(b[14])), Tenant: tenants[int(b[14])%len(tenants)],
+			Replica: int(b[15] % 3), Worker: int(b[15] >> 6), WallNS: int64(b[15]) * 1000,
+		})
+	}
+	return spans
+}
+
+// writeReadWrite checks the writer against its reader: a span set
+// WriteChromeTrace accepts reads back equal, with its metadata, and writes
+// again to the same bytes.
+func writeReadWrite(t *testing.T, spans []Span) {
+	t.Helper()
+	meta := ChromeMeta{Label: "fuzz", LinkBWBytesPerSec: 12.8e9, Samples: len(spans)}
+	var first bytes.Buffer
+	if err := WriteChromeTrace(&first, spans, meta); err != nil {
+		return
+	}
+	got, gotMeta, err := ReadChromeTrace(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("written trace does not read back: %v\n%s", err, first.String())
+	}
+	if (len(got) > 0 || len(spans) > 0) && !reflect.DeepEqual(got, spans) {
+		t.Fatalf("write -> read diverged:\ngot  %+v\nwant %+v", got, spans)
+	}
+	if gotMeta != meta {
+		t.Fatalf("metadata read back as %+v, want %+v", gotMeta, meta)
+	}
+	var second bytes.Buffer
+	if err := WriteChromeTrace(&second, got, gotMeta); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("write -> read -> write changed the file:\n%s\n%s", first.String(), second.String())
+	}
+}
+
+// TestWriteChromeTraceRejectsUnreadableSpans pins the three span shapes the
+// writer once wrote but its reader rejected or read back changed.
+func TestWriteChromeTraceRejectsUnreadableSpans(t *testing.T) {
+	for name, sp := range map[string]Span{
+		"empty kind":      {Kind: "", Lane: LaneHost, Block: -1},
+		"empty lane":      {Kind: SpanCompute, Lane: "", Block: 0},
+		"block below -1":  {Kind: SpanCompute, Lane: LaneCompute, Block: -2},
+		"negative start":  {Kind: SpanCompute, Lane: LaneCompute, StartNS: -1},
+		"invalid tenant":  {Kind: SpanQueue, Lane: LaneHost, Block: -1, Tenant: "\xff"},
+		"beyond 2^50 dur": {Kind: SpanCompute, Lane: LaneCompute, DurNS: maxTraceNS + 1},
+	} {
+		var buf bytes.Buffer
+		if err := WriteChromeTrace(&buf, []Span{sp}, ChromeMeta{}); err == nil {
+			t.Errorf("%s: written without error", name)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: %d bytes written before the error", name, buf.Len())
+		}
+		writeReadWrite(t, []Span{sp})
+	}
+	writeReadWrite(t, traceFixture())
 }
 
 func TestTracerCanonicalTimeline(t *testing.T) {
