@@ -244,7 +244,7 @@ func (c *Cluster) TrainEpoch(samples []*dynn.Sample) (*ClusterEpochReport, error
 
 // Serve runs the multi-tenant serving front-end across the cluster's GPU
 // replicas: one shared admission queue, home-affinity placement with
-// least-loaded spill, per-replica memory ledgers, and (when configured)
+// least-loaded spill, per-replica memory capacities, and (when configured)
 // elastic replica scaling on sustained queue-delay pressure. It shares its
 // serving path and engine builder with System.Serve, so a one-GPU cluster
 // serves exactly as the system does.

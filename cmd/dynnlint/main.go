@@ -1,8 +1,7 @@
 // Command dynnlint runs the project's static-analysis suite (internal/lint)
 // over module packages: the five AST passes (determinism, lockcheck,
-// floatcmp, errdiscipline, panicfree) plus the two CFG/dataflow passes
-// (allocleak, clockunits). It is pure stdlib — no analysis frameworks, no
-// network.
+// floatcmp, errdiscipline, panicfree) plus the units-of-measure dataflow
+// pass (clockunits). It is pure stdlib — no analysis frameworks, no network.
 //
 // The driver is incremental and parallel: per-package results cache under
 // <module>/.dynnlint keyed by the content hash of the package, its transitive
@@ -16,7 +15,7 @@
 //	dynnlint -json ./...            # machine-readable findings
 //	dynnlint -sarif lint.sarif ./...  # SARIF 2.1.0 for code scanning
 //	dynnlint -nocache -jobs 1 ./... # cold, serial
-//	dynnlint -analyzers allocleak,clockunits ./...
+//	dynnlint -analyzers determinism,clockunits ./...
 //	dynnlint -list                  # describe the analyzers
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure. Findings are

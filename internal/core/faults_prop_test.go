@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -183,54 +182,5 @@ func TestRateOneCompletes(t *testing.T) {
 	}
 	if c.Retries == 0 || c.BackoffNS == 0 {
 		t.Errorf("no retry/backoff recorded: %+v", c)
-	}
-}
-
-// TestAllocatorInvariantsUnderFaults drives the first-fit allocator with
-// random alloc/free interleavings and an injecting fault stream: FreeBytes
-// stays within [0, Capacity], accounting matches the live set exactly, and
-// Reset leaks nothing.
-func TestAllocatorInvariantsUnderFaults(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	inj := faults.New(faults.Config{Seed: 13, Rate: 0.2})
-	for trial := 0; trial < 200; trial++ {
-		const capacity = 1 << 20
-		a := gpusim.NewAllocator(capacity, gpusim.WithAllocFaults(inj.Stream(uint64(trial))))
-		live := map[int64]int64{} // id -> size of successful allocations
-		var id int64
-		for op := 0; op < 120; op++ {
-			if rng.Intn(3) > 0 || len(live) == 0 {
-				id++
-				size := int64(rng.Intn(capacity/8) + 1)
-				if err := a.TryAlloc(id, size); err == nil {
-					live[id] = size
-				}
-			} else {
-				for victim := range live {
-					a.Free(victim)
-					delete(live, victim)
-					break
-				}
-			}
-			var liveBytes int64
-			for _, s := range live {
-				liveBytes += s
-			}
-			free := a.FreeBytes()
-			if free < 0 || free > capacity {
-				t.Fatalf("trial %d op %d: FreeBytes %d out of [0, %d]", trial, op, free, capacity)
-			}
-			if free != capacity-liveBytes {
-				t.Fatalf("trial %d op %d: FreeBytes %d, live %d — extent leak", trial, op, free, liveBytes)
-			}
-			if a.LargestExtent() > free {
-				t.Fatalf("trial %d op %d: largest extent %d > free %d", trial, op, a.LargestExtent(), free)
-			}
-		}
-		a.Reset()
-		if a.FreeBytes() != capacity || a.LargestExtent() != capacity || a.Fragmentation() != 0 {
-			t.Fatalf("trial %d: Reset leaked: free=%d largest=%d frag=%v",
-				trial, a.FreeBytes(), a.LargestExtent(), a.Fragmentation())
-		}
 	}
 }

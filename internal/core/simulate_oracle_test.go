@@ -107,7 +107,7 @@ func (e *Engine) oraclePipelined(an *sentinel.Analysis, blocks []sentinel.Block,
 			// fits, charging the D2H traffic on the migration clock.
 			need := bytes - pool.Free()
 			var evicted int64
-			for _, v := range pool.Victims(need, nil) {
+			for _, v := range pool.Victims(need) {
 				evicted += pool.Remove(v)
 			}
 			if evicted > 0 {

@@ -296,13 +296,6 @@ func simulateRing(ic *gpusim.Interconnect, ready []int64, bytes int64) ([]int64,
 	return done, sends
 }
 
-// SimulateRingAllReduce exposes the scheduled ring for oracle tests: it
-// returns each GPU's completion time given per-GPU ready times.
-func SimulateRingAllReduce(ic *gpusim.Interconnect, ready []int64, bytes int64) []int64 {
-	done, _ := simulateRing(ic, ready, bytes)
-	return done
-}
-
 // RingAllReduceNS is the paper's closed form for a ring all-reduce of n bytes
 // across g GPUs on one uncontended link: 2(g-1)/g of the data crosses each
 // link, plus per-step latency. Kept as the oracle the DES schedule is checked

@@ -23,7 +23,7 @@ func TestRingOracleUncontended(t *testing.T) {
 			for _, bytes := range []int64{1 << 16, 1 << 24, 1 << 28, 12345677} {
 				// Everyone on one node: every egress link is dedicated.
 				ic := gpusim.NewInterconnect(g, g, spec, spec)
-				done := SimulateRingAllReduce(ic, make([]int64, g), bytes)
+				done, _ := simulateRing(ic, make([]int64, g), bytes)
 				var des int64
 				for _, d := range done {
 					if d > des {
@@ -51,7 +51,7 @@ func TestRingOracleSkewedReady(t *testing.T) {
 	g, bytes := 4, int64(1<<24)
 	ready := []int64{0, 250_000, 1_000_000, 125_000}
 	ic := gpusim.NewInterconnect(g, g, spec, spec)
-	done := SimulateRingAllReduce(ic, ready, bytes)
+	done, _ := simulateRing(ic, ready, bytes)
 	var des, straggler int64
 	for i, d := range done {
 		if d > des {
@@ -81,7 +81,7 @@ func TestRingOracleContended(t *testing.T) {
 	ic := gpusim.NewInterconnect(g, 1, spec, spec)
 	// Inject offload traffic holding GPU 0's host link.
 	ic.HostLink(0).Transfer(0, 1<<24)
-	done := SimulateRingAllReduce(ic, make([]int64, g), bytes)
+	done, _ := simulateRing(ic, make([]int64, g), bytes)
 	var des int64
 	for _, d := range done {
 		if d > des {

@@ -41,10 +41,10 @@ func pinnedToolchain(t *testing.T) string {
 // Each ceiling is the count measured with go.mod's toolchain; the counts read
 // the same under -coverprofile. The five single-operation loops get no
 // slack. The serving run makes about 101 dispatches for 200 requests and its
-// mean over three runs reads 41,688 to 41,690, so its ceiling carries a
-// slack of 25: wider than that spread, well below the 101 that one extra
-// allocation per dispatch adds. A leaner path passes; lower its pin to keep
-// the gain. Other toolchains inline, escape and lay out maps differently, so
+// mean over three runs reads 2,074 to 2,076 (also under -count=5 -cpu 1,2,4
+// and GOGC=1), so its ceiling carries a slack of 25: wider than that spread,
+// well below the 101 that one extra allocation per dispatch adds. A leaner
+// path passes; lower its pin to keep the gain. Other toolchains inline, escape and lay out maps differently, so
 // they skip rather than fail on unchanged code.
 func TestHotPathAllocs(t *testing.T) {
 	if testing.Short() {
@@ -157,7 +157,7 @@ func TestHotPathAllocs(t *testing.T) {
 			i++
 		}},
 		{"online_retrain", runs, 5, 0, func() { observe(i); i++ }},
-		{"serve_run", 3, 41689, 25, serveRun},
+		{"serve_run", 3, 2075, 25, serveRun},
 	} {
 		i = 0
 		got := testing.AllocsPerRun(tc.runs, tc.fn)

@@ -70,9 +70,6 @@ func (l *Link) Book(readyNS, durNS, bytes int64) (startNS, endNS int64) {
 	return start, end
 }
 
-// BusyUntil is the link's current busy horizon.
-func (l *Link) BusyUntil() int64 { return l.busyNS }
-
 // LinkStats summarizes one link's traffic over a run.
 type LinkStats struct {
 	Name      string

@@ -28,7 +28,6 @@ type MemPool struct {
 	head    int32       // LRU front = oldest (-1 when empty)
 	tail    int32       // LRU back = newest (-1 when empty)
 	index   []int32     // tensor id -> arena slot+1; 0 = not resident
-	pinned  map[int64]bool
 }
 
 type poolEntry struct {
@@ -43,13 +42,12 @@ func NewMemPool(capacity int64) *MemPool {
 		Capacity: capacity,
 		head:     -1,
 		tail:     -1,
-		pinned:   map[int64]bool{},
 	}
 }
 
-// Reset rewinds the pool to empty with a new capacity, keeping the arena,
-// index, and map storage for reuse. Every observable property — residency,
-// usage, peak, pins — returns to the state of a freshly constructed pool.
+// Reset rewinds the pool to empty with a new capacity, keeping the arena and
+// index storage for reuse. Every observable property — residency, usage,
+// peak — returns to the state of a freshly constructed pool.
 // Only index entries the arena names can be set, so only those are zeroed.
 func (p *MemPool) Reset(capacity int64) {
 	p.Capacity = capacity
@@ -63,7 +61,6 @@ func (p *MemPool) Reset(capacity int64) {
 	p.entries = p.entries[:0]
 	p.free = p.free[:0]
 	p.head, p.tail = -1, -1
-	clear(p.pinned)
 }
 
 // Used returns resident bytes.
@@ -167,7 +164,6 @@ func (p *MemPool) Remove(id int64) int64 {
 	p.unlink(slot)
 	p.free = append(p.free, slot)
 	p.index[id] = 0
-	delete(p.pinned, id)
 	p.used -= bytes
 	return bytes
 }
@@ -180,28 +176,14 @@ func (p *MemPool) Touch(id int64) {
 	}
 }
 
-// Pin prevents a tensor from being selected by Victims (e.g. tensors used by
-// the currently executing operator).
-func (p *MemPool) Pin(id int64)   { p.pinned[id] = true }
-func (p *MemPool) Unpin(id int64) { delete(p.pinned, id) }
-
-// UnpinAll clears all pins.
-func (p *MemPool) UnpinAll() { clear(p.pinned) }
-
-// Victims returns LRU-ordered unpinned tensors whose combined size is at
+// Victims returns the least-recently-used tensors whose combined size is at
 // least need bytes. It returns what it found even if insufficient; the
 // caller checks coverage.
-func (p *MemPool) Victims(need int64, keep func(id int64) bool) []int64 {
+func (p *MemPool) Victims(need int64) []int64 {
 	var out []int64
 	var got int64
 	for slot := p.head; slot >= 0 && got < need; slot = p.entries[slot].next {
 		ent := &p.entries[slot]
-		if p.pinned[ent.id] {
-			continue
-		}
-		if keep != nil && keep(ent.id) {
-			continue
-		}
 		out = append(out, ent.id)
 		got += ent.bytes
 	}
@@ -217,10 +199,10 @@ func (p *MemPool) ResidentIDs() []int64 {
 	return out
 }
 
-// memPools recycles MemPools across simulated samples. The arena, index, and
-// pin map keep their storage between uses; Reset restores the observable
-// zero state on every release, so a recycled pool is indistinguishable from
-// a fresh one (pinned by the pool-hygiene tests).
+// memPools recycles MemPools across simulated samples. The arena and index
+// keep their storage between uses; Reset restores the observable zero state
+// on every release, so a recycled pool is indistinguishable from a fresh one
+// (pinned by the pool-hygiene tests).
 var memPools = sync.Pool{New: func() any { return NewMemPool(0) }}
 
 // AcquireMemPool returns an empty pool with the given capacity, recycled

@@ -6,12 +6,12 @@ import (
 )
 
 // poisonPool scribbles a recognizable poison pattern over every piece of
-// MemPool state — arena entries, freelist, LRU endpoints, residency index
-// and pin map, accounting — simulating the worst dirty state a recycled pool
-// could carry. Every id the index marks resident is named by an arena entry,
-// as in any state the pool's methods can reach; the marks hold out-of-range
-// slots and slots of unrelated poisoned entries, and negative-id entries sit
-// between them. Reset must erase all of it; any observable difference from a
+// MemPool state — arena entries, freelist, LRU endpoints, residency index,
+// accounting — simulating the worst dirty state a recycled pool could carry.
+// Every id the index marks resident is named by an arena entry, as in any
+// state the pool's methods can reach; the marks hold out-of-range slots and
+// slots of unrelated poisoned entries, and negative-id entries sit between
+// them. Reset must erase all of it; any observable difference from a
 // fresh pool afterwards is cross-sample state leakage.
 func poisonPool(p *MemPool) {
 	const poison = int64(-0x5A5A5A5A5A5A5A5A)
@@ -37,18 +37,14 @@ func poisonPool(p *MemPool) {
 	for i := int32(0); i < 32; i++ {
 		p.free = append(p.free, 0x5A00+i)
 	}
-	for i := int64(0); i < 48; i++ {
-		p.pinned[i] = true
-	}
 }
 
 // poolObservables renders every externally visible property of the pool for
 // a fixed id universe, so the differential driver can compare whole states.
 func poolObservables(p *MemPool, ids []int64) string {
-	s := fmt.Sprintf("cap=%d used=%d peak=%d free=%d resident=%v victims-all=%v victims-odd=%v",
+	s := fmt.Sprintf("cap=%d used=%d peak=%d free=%d resident=%v victims-all=%v victims-half=%v",
 		p.Capacity, p.Used(), p.Peak(), p.Free(), p.ResidentIDs(),
-		p.Victims(p.Capacity, nil),
-		p.Victims(p.Capacity, func(id int64) bool { return id%2 == 1 }))
+		p.Victims(p.Capacity), p.Victims(p.Used()/2))
 	for _, id := range ids {
 		s += fmt.Sprintf(" %d:%v/%d", id, p.Resident(id), p.ResidentBytes(id))
 	}
@@ -85,7 +81,7 @@ func TestMemPoolResetHygiene(t *testing.T) {
 		id := ids[next(uint64(len(ids)))]
 		bytes := int64(next(1<<10) + 1)
 		var gotErr, wantErr error
-		switch next(6) {
+		switch next(4) {
 		case 0, 1:
 			gotErr, wantErr = recycled.Add(id, bytes), fresh.Add(id, bytes)
 		case 2:
@@ -94,17 +90,6 @@ func TestMemPoolResetHygiene(t *testing.T) {
 		case 3:
 			recycled.Touch(id)
 			fresh.Touch(id)
-		case 4:
-			recycled.Pin(id)
-			fresh.Pin(id)
-		case 5:
-			if next(4) == 0 {
-				recycled.UnpinAll()
-				fresh.UnpinAll()
-			} else {
-				recycled.Unpin(id)
-				fresh.Unpin(id)
-			}
 		}
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("step %d: Add error diverges: recycled=%v fresh=%v", step, gotErr, wantErr)
@@ -117,15 +102,14 @@ func TestMemPoolResetHygiene(t *testing.T) {
 
 // TestMemPoolAcquireReleaseClean pins the sync.Pool funnel the simulator hot
 // path uses: whatever AcquireMemPool hands out after arbitrary prior use —
-// residents, pins, peak pressure — presents the zero state, and ids pinned in
-// a previous life are victimizable again.
+// residents, peak pressure — presents the zero state, and its victims name
+// only tensors added since.
 func TestMemPoolAcquireReleaseClean(t *testing.T) {
 	p := AcquireMemPool(1 << 20)
 	for i := int64(1); i <= 16; i++ {
 		if err := p.Add(i, 1<<12); err != nil {
 			t.Fatalf("Add(%d): %v", i, err)
 		}
-		p.Pin(i)
 	}
 	ReleaseMemPool(p)
 
@@ -140,8 +124,8 @@ func TestMemPoolAcquireReleaseClean(t *testing.T) {
 	if err := q.Add(1, 512); err != nil {
 		t.Fatalf("Add on recycled pool: %v", err)
 	}
-	if v := q.Victims(512, nil); len(v) != 1 || v[0] != 1 {
-		t.Fatalf("id pinned in a previous life is not victimizable: victims=%v", v)
+	if v := q.Victims(q.Capacity); len(v) != 1 || v[0] != 1 {
+		t.Fatalf("victims of a recycled pool name a previous life: victims=%v", v)
 	}
 	if err := q.Add(2, 1024); err == nil {
 		t.Fatal("capacity from a previous life leaked: oversized Add accepted")

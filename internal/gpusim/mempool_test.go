@@ -13,11 +13,10 @@ type poolModel struct {
 	capacity, used, peak int64
 	bytes                map[int64]int64
 	lru                  []int64
-	pinned               map[int64]bool
 }
 
 func newPoolModel(capacity int64) *poolModel {
-	return &poolModel{capacity: capacity, bytes: map[int64]int64{}, pinned: map[int64]bool{}}
+	return &poolModel{capacity: capacity, bytes: map[int64]int64{}}
 }
 
 func (m *poolModel) touch(id int64) {
@@ -46,22 +45,18 @@ func (m *poolModel) remove(id int64) int64 {
 		return 0
 	}
 	delete(m.bytes, id)
-	delete(m.pinned, id)
 	i := slices.Index(m.lru, id)
 	m.lru = slices.Delete(m.lru, i, i+1)
 	m.used -= b
 	return b
 }
 
-func (m *poolModel) victims(need int64, keep func(int64) bool) []int64 {
+func (m *poolModel) victims(need int64) []int64 {
 	var out []int64
 	var got int64
 	for _, id := range m.lru {
 		if got >= need {
 			break
-		}
-		if m.pinned[id] || (keep != nil && keep(id)) {
-			continue
 		}
 		out = append(out, id)
 		got += m.bytes[id]
@@ -94,28 +89,13 @@ func runPoolProgram(prog []byte, ids []int64) error {
 			if got, want := p.Remove(id), m.remove(id); got != want {
 				return fmt.Errorf("step %d: Remove(%d) = %d, want %d", step, id, got, want)
 			}
-		case 5:
+		case 5, 6, 7:
 			p.Touch(id)
 			if _, ok := m.bytes[id]; ok {
 				m.touch(id)
 			}
-		case 6:
-			p.Pin(id)
-			m.pinned[id] = true
-		case 7:
-			if prog[3]&1 == 0 {
-				p.Unpin(id)
-				delete(m.pinned, id)
-			} else {
-				p.UnpinAll()
-				clear(m.pinned)
-			}
 		case 8:
-			keep := func(id int64) bool { return id%2 != 0 }
-			if prog[3]&1 == 0 {
-				keep = nil
-			}
-			if got, want := p.Victims(bytes, keep), m.victims(bytes, keep); !slices.Equal(got, want) {
+			if got, want := p.Victims(bytes), m.victims(bytes); !slices.Equal(got, want) {
 				return fmt.Errorf("step %d: Victims(%d) = %v, want %v", step, bytes, got, want)
 			}
 		case 9:

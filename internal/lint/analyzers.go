@@ -1,12 +1,11 @@
 package lint
 
 // All returns the full dynnlint analyzer suite in reporting order: the five
-// AST-shallow passes from the original linter, then the two CFG/dataflow
-// passes.
+// AST-shallow passes from the original linter, then the dataflow pass.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, Lockcheck, Floatcmp, Errdiscipline, Panicfree,
-		Allocleak, Clockunits,
+		Clockunits,
 	}
 }
 

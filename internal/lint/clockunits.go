@@ -57,11 +57,6 @@ var methodUnits = map[string]map[string]map[string]unit{
 			"Try": unitSimNS, "TrySpan": unitSimNS, "Busy": unitSimNS,
 			"RunCompute": unitSimNS, "RunH2D": unitSimNS, "RunD2H": unitSimNS,
 		},
-		"Allocator": {
-			"FreeBytes": unitBytes, "LargestExtent": unitBytes, "UsedBytes": unitBytes,
-			"HighWater": unitBytes, "OwnerUsed": unitBytes, "OwnerHighWater": unitBytes,
-			"Quota": unitBytes,
-		},
 		"Breakdown": {"DeviceNS": unitSimNS},
 	},
 	obsvPath: {
@@ -80,8 +75,7 @@ var fieldUnits = map[string]map[string]map[string]unit{
 			"OverheadNS": unitWallNS,
 			"H2DBytes":   unitBytes, "D2HBytes": unitBytes, "PeakGPUBytes": unitBytes,
 		},
-		"Streams":   {"Compute": unitSimNS, "H2D": unitSimNS, "D2H": unitSimNS},
-		"Allocator": {"Capacity": unitBytes},
+		"Streams": {"Compute": unitSimNS, "H2D": unitSimNS, "D2H": unitSimNS},
 	},
 	obsvPath: {
 		"Span": {"StartNS": unitSimNS, "DurNS": unitSimNS, "WallNS": unitWallNS},

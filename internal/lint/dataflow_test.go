@@ -10,48 +10,33 @@ import (
 // imports resolve against the real tree.
 var moduleRoot = filepath.Join("..", "..")
 
-// cfgFixtures drives the CFG/dataflow analyzer fixture suites. Each fixture
-// loads at an import path that places it in the analyzer's scope; withDeps
-// fixtures import production packages (gpusim, obsv) resolved from the real
-// tree. The allocleak fixtures are hermetic: they define a stand-in Allocator
-// and load at the gpusim import path so the analyzer adopts it.
-var cfgFixtures = []struct {
-	analyzer       string
-	flaggedPath    string
-	cleanPath      string
-	suppressedPath string
-	withDeps       bool
+// dataflowFixtures drives the dataflow analyzer fixture suites. Each fixture
+// loads at an import path that places it in the analyzer's scope and imports
+// production packages (gpusim, obsv) resolved from the real tree.
+var dataflowFixtures = []struct {
+	analyzer   string
+	importPath string
 }{
-	{"allocleak", "dynnoffload/internal/gpusim", "dynnoffload/internal/gpusim", "dynnoffload/internal/gpusim", false},
-	{"clockunits", inScopePath, inScopePath, inScopePath, true},
+	{"clockunits", inScopePath},
 }
 
-func loadCFGFixture(t *testing.T, rel, importPath string, withDeps bool) *Package {
+func loadDataflowFixture(t *testing.T, rel, importPath string) *Package {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", rel)
-	var (
-		pkg *Package
-		err error
-	)
-	if withDeps {
-		pkg, err = LoadDirWithDeps(moduleRoot, dir, importPath)
-	} else {
-		pkg, err = LoadDir(dir, importPath)
-	}
+	pkg, err := LoadDirWithDeps(moduleRoot, filepath.Join("testdata", "src", rel), importPath)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", rel, err)
 	}
 	return pkg
 }
 
-// TestDataflowFlaggedFixtures checks each CFG/dataflow analyzer catches every
+// TestDataflowFlaggedFixtures checks each dataflow analyzer catches every
 // seeded violation, byte-for-byte against the golden expectations, and that
 // no other analyzer fires on the fixture.
 func TestDataflowFlaggedFixtures(t *testing.T) {
-	for _, tc := range cfgFixtures {
+	for _, tc := range dataflowFixtures {
 		t.Run(tc.analyzer, func(t *testing.T) {
 			rel := filepath.Join(tc.analyzer, "flagged")
-			pkg := loadCFGFixture(t, rel, tc.flaggedPath, tc.withDeps)
+			pkg := loadDataflowFixture(t, rel, tc.importPath)
 			got := render(Run([]*Package{pkg}, All()))
 			diffLines(t, rel, got, readGolden(t, rel))
 			for _, line := range got {
@@ -67,10 +52,10 @@ func TestDataflowFlaggedFixtures(t *testing.T) {
 // analyzer suite: balanced releases, deferred closes, and ownership
 // transfers must all pass.
 func TestDataflowCleanFixtures(t *testing.T) {
-	for _, tc := range cfgFixtures {
+	for _, tc := range dataflowFixtures {
 		t.Run(tc.analyzer, func(t *testing.T) {
 			rel := filepath.Join(tc.analyzer, "clean")
-			pkg := loadCFGFixture(t, rel, tc.cleanPath, tc.withDeps)
+			pkg := loadDataflowFixture(t, rel, tc.importPath)
 			if got := render(Run([]*Package{pkg}, All())); len(got) != 0 {
 				t.Errorf("clean fixture produced findings:\n  %s", strings.Join(got, "\n  "))
 			}
@@ -79,12 +64,12 @@ func TestDataflowCleanFixtures(t *testing.T) {
 }
 
 // TestDataflowSuppressedFixtures checks a //dynnlint:ignore directive with a
-// reason silences each CFG/dataflow analyzer.
+// reason silences each dataflow analyzer.
 func TestDataflowSuppressedFixtures(t *testing.T) {
-	for _, tc := range cfgFixtures {
+	for _, tc := range dataflowFixtures {
 		t.Run(tc.analyzer, func(t *testing.T) {
 			rel := filepath.Join(tc.analyzer, "suppressed")
-			pkg := loadCFGFixture(t, rel, tc.suppressedPath, tc.withDeps)
+			pkg := loadDataflowFixture(t, rel, tc.importPath)
 			if got := render(Run([]*Package{pkg}, All())); len(got) != 0 {
 				t.Errorf("suppressed fixture leaked findings:\n  %s", strings.Join(got, "\n  "))
 			}
@@ -99,7 +84,7 @@ func TestDataflowSuppressedFixtures(t *testing.T) {
 // outside their scope: nothing may fire.
 func TestDataflowAnalyzersScopeOut(t *testing.T) {
 	// clockunits is scoped to the deterministic packages.
-	pkg := loadCFGFixture(t, filepath.Join("clockunits", "flagged"), outOfScopePath, true)
+	pkg := loadDataflowFixture(t, filepath.Join("clockunits", "flagged"), outOfScopePath)
 	if got := render(Run([]*Package{pkg}, ByName([]string{"clockunits"}))); len(got) != 0 {
 		t.Errorf("clockunits fired outside the deterministic scope:\n  %s", strings.Join(got, "\n  "))
 	}

@@ -154,8 +154,8 @@ func TestAnalyzeNoCache(t *testing.T) {
 // results with rule indices and %SRCROOT%-relative locations.
 func TestWriteSARIF(t *testing.T) {
 	findings := []Finding{
-		{Analyzer: "allocleak", File: filepath.Join("/repo", "internal", "serve", "serve.go"),
-			Line: 261, Col: 20, Message: "leak"},
+		{Analyzer: "clockunits", File: filepath.Join("/repo", "internal", "serve", "serve.go"),
+			Line: 261, Col: 20, Message: "mixed units"},
 		{Analyzer: "dynnlint", File: filepath.Join("/repo", "x.go"), Line: 3, Col: 1, Message: "bad directive"},
 	}
 	var buf bytes.Buffer
@@ -214,11 +214,11 @@ func TestWriteSARIF(t *testing.T) {
 		t.Fatalf("%d results, want 2", len(run.Results))
 	}
 	r := run.Results[0]
-	if r.RuleID != "allocleak" || r.Level != "error" || r.Message.Text != "leak" {
+	if r.RuleID != "clockunits" || r.Level != "error" || r.Message.Text != "mixed units" {
 		t.Fatalf("result 0 = %+v", r)
 	}
-	if got := run.Tool.Driver.Rules[r.RuleIndex].ID; got != "allocleak" {
-		t.Fatalf("ruleIndex %d resolves to %q, want allocleak", r.RuleIndex, got)
+	if got := run.Tool.Driver.Rules[r.RuleIndex].ID; got != "clockunits" {
+		t.Fatalf("ruleIndex %d resolves to %q, want clockunits", r.RuleIndex, got)
 	}
 	loc := r.Locations[0].PhysicalLocation
 	if loc.ArtifactLocation.URI != "internal/serve/serve.go" || loc.ArtifactLocation.URIBaseID != "%SRCROOT%" {

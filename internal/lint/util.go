@@ -29,7 +29,10 @@ func rootIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-const obsvPath = "dynnoffload/internal/obsv"
+const (
+	gpusimPath = "dynnoffload/internal/gpusim"
+	obsvPath   = "dynnoffload/internal/obsv"
+)
 
 // namedOf unwraps pointers to the named type underneath, if any.
 func namedOf(t types.Type) *types.Named {

@@ -31,7 +31,8 @@ type ServeStats struct {
 	MaxNS  int64 `json:"max_ns"`
 	// Mean time a completed request spent queued before its batch dispatched.
 	QueueMeanNS int64 `json:"queue_mean_ns"`
-	// Memory accounting from the allocator's reservation layer.
+	// Memory accounting: the configured quota and the most bytes reserved in
+	// any one batch (the tenant's own, or the whole batch's for the total).
 	QuotaBytes     int64 `json:"quota_bytes,omitempty"`
 	QuotaPeakBytes int64 `json:"quota_peak_bytes,omitempty"`
 	// Attribution decomposes the completed requests' summed end-to-end latency

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"dynnoffload/internal/gpusim"
+	"dynnoffload/internal/core"
 	"dynnoffload/internal/obsv"
 )
 
@@ -22,7 +22,8 @@ import (
 // host wall time (Breakdown.OverheadNS), off the virtual clock, so charging it
 // here would leak scheduling noise into the deterministic decomposition.
 // AllReduceNS stays zero too — served requests do not synchronize gradients.
-func attribution(waitNS, quotaNS, retrainNS, serviceNS int64, bd gpusim.Breakdown) obsv.AttributionComponents {
+func attribution(waitNS, quotaNS, retrainNS, serviceNS int64, res core.SampleResult) obsv.AttributionComponents {
+	bd := res.Breakdown
 	if quotaNS > waitNS {
 		quotaNS = waitNS
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"dynnoffload/internal/core"
-	"dynnoffload/internal/gpusim"
 	"dynnoffload/internal/obsv"
 	"dynnoffload/internal/online"
 	"dynnoffload/internal/pilot"
@@ -37,8 +36,8 @@ type ClusterConfig struct {
 }
 
 // ClusterBackend is what the serving event loop runs requests against: one
-// engine per GPU replica sharing a request pool. Each replica's reservation
-// ledger is sized by its engine platform's device memory.
+// engine per GPU replica sharing a request pool. A batch on a replica
+// reserves at most its engine platform's device memory.
 type ClusterBackend struct {
 	Engines []*core.Engine
 	// Pool is the request population, shared by all replicas; each arrival
@@ -49,7 +48,7 @@ type ClusterBackend struct {
 // Placement records where a tenant is homed and how its completions landed.
 // Homes are assigned round-robin by tenant index; the scheduler prefers a
 // request's home replica when several replicas are free, so quota-heavy
-// tenants mostly stay on their own ledger.
+// tenants mostly stay on their own replica.
 type Placement struct {
 	Tenant string
 	Home   int
@@ -93,7 +92,7 @@ type ClusterReport struct {
 // arrivals admit through per-tenant gates into one shared queue; each
 // dispatch picks a replica — the queue front's home if it is free, otherwise
 // the fewest-dispatches (lowest-index) free active replica — forms a
-// continuous batch against that replica's own reservation ledger, and
+// continuous batch within that replica's own device memory, and
 // occupies the replica for the batch's simulated service time. Replicas
 // overlap in virtual time; the event loop itself never races. While every
 // active replica is busy, arrivals wait unadmitted until the earliest
@@ -138,19 +137,13 @@ func RunCluster(b *ClusterBackend, cfg ClusterConfig) (*ClusterReport, error) {
 		starveAge = math.MaxInt64
 	}
 
-	// Per-replica ledgers; admission caps requests at the smallest replica,
-	// so an admitted request is schedulable anywhere.
-	ledgers := make([]*gpusim.Allocator, replicas)
+	// Per-replica capacities; generate caps requests against the smallest
+	// replica, so an admitted request is schedulable anywhere.
+	capBytes := make([]int64, replicas)
 	minMem := int64(math.MaxInt64)
 	for r, e := range b.Engines {
-		mem := e.Cfg.Platform.GPU.MemBytes
-		if mem < minMem {
-			minMem = mem
-		}
-		ledgers[r] = gpusim.NewAllocator(mem)
-		for _, tc := range cfg.Tenants {
-			ledgers[r].SetQuota(tc.Name, tc.QuotaBytes)
-		}
+		capBytes[r] = e.Cfg.Platform.GPU.MemBytes
+		minMem = min(minMem, capBytes[r])
 	}
 
 	arrivals, err := generate(cfg.Config, b.Pool, minMem)
@@ -194,7 +187,7 @@ func RunCluster(b *ClusterBackend, cfg ClusterConfig) (*ClusterReport, error) {
 		flights[r] = obsv.NewFlightRecorder(r, cfg.Flight)
 	}
 	s := &clusterLoop{
-		cfg: cfg, backend: b, ledgers: ledgers,
+		cfg: cfg, backend: b, capBytes: capBytes,
 		maxBatch: maxBatch, starveAge: starveAge,
 		rec: rec, tenantRecs: tenantRecs,
 		acc:         make([]tenantAcc, len(cfg.Tenants)),
@@ -204,6 +197,8 @@ func RunCluster(b *ClusterBackend, cfg ClusterConfig) (*ClusterReport, error) {
 		completed:   make([]int64, replicas),
 		busyNS:      make([]int64, replicas),
 		homeServed:  make([]int64, len(cfg.Tenants)),
+		held:        make([]int64, len(cfg.Tenants)),
+		tenantPeak:  make([]int64, len(cfg.Tenants)),
 		flights:     flights,
 		active:      replicas,
 		minActive:   minActive,
@@ -235,7 +230,7 @@ func RunCluster(b *ClusterBackend, cfg ClusterConfig) (*ClusterReport, error) {
 type clusterLoop struct {
 	cfg        ClusterConfig
 	backend    *ClusterBackend
-	ledgers    []*gpusim.Allocator
+	capBytes   []int64 // replica -> device memory
 	maxBatch   int
 	starveAge  int64
 	rec        *obsv.Recorder
@@ -253,6 +248,9 @@ type clusterLoop struct {
 	completed  []int64
 	busyNS     []int64
 	homeServed []int64
+	held       []int64                // tenant -> bytes in the forming batch (selectBatch scratch)
+	peak       int64                  // most bytes any one batch reserved
+	tenantPeak []int64                // tenant -> most bytes it reserved in one batch
 	flights    []*obsv.FlightRecorder // per replica; nil entries when disabled
 	makespanNS int64
 
@@ -341,8 +339,9 @@ func (s *clusterLoop) run(arrivals []*request) error {
 }
 
 // admit applies the two admission gates: a request that can never fit its
-// tenant's quota (or the device) is shed immediately; a request arriving at
-// a full tenant queue is shed as backpressure.
+// tenant's quota is shed immediately; a request arriving at a full tenant
+// queue is shed as backpressure. (generate already caps every request at
+// half the smallest replica's memory, so the device always has room.)
 func (s *clusterLoop) admit(r *request) {
 	a := &s.acc[r.tenant]
 	a.arrivals++
@@ -351,7 +350,7 @@ func (s *clusterLoop) admit(r *request) {
 	// home replica recorder — the replica most likely to serve the request.
 	flight := s.flights[s.homes[r.tenant]]
 	quota := s.cfg.Tenants[r.tenant].QuotaBytes
-	if (quota > 0 && r.needBytes > quota) || r.needBytes > s.ledgers[0].Capacity {
+	if quota > 0 && r.needBytes > quota {
 		a.quotaShed++
 		recordAdmission(flight, obsv.FlightQuotaShed, r, name)
 		return
@@ -401,15 +400,23 @@ func (s *clusterLoop) pickReplica() int {
 	return pick
 }
 
-// dispatch forms one continuous batch against replica r's ledger and
+// dispatch forms one continuous batch within replica r's memory and
 // occupies the replica for its service time.
 func (s *clusterLoop) dispatch(r int) error {
-	var batch []*request
-	batch, s.queued = selectBatch(s.queued, s.now, s.starveAge, s.maxBatch, s.ledgers[r], s.cfg.Tenants)
+	var (
+		batch []*request
+		total int64
+	)
+	batch, s.queued, total = selectBatch(s.queued, s.now, s.starveAge, s.maxBatch, s.capBytes[r], s.cfg.Tenants, s.held)
 	if len(batch) == 0 {
-		// Unreachable: admission caps needBytes at the smallest replica and
-		// r's ledger is empty between its batches — but fail loudly.
+		// Unreachable: generate caps needBytes at half the smallest
+		// replica's memory and admit sheds what exceeds its tenant's quota,
+		// so the queue front always fits — but fail loudly.
 		return fmt.Errorf("serve: no request schedulable at t=%dns with %d queued", s.now, len(s.queued))
+	}
+	s.peak = max(s.peak, total)
+	for t, b := range s.held {
+		s.tenantPeak[t] = max(s.tenantPeak[t], b)
 	}
 
 	s.exs = s.exs[:0]
@@ -432,9 +439,6 @@ func (s *clusterLoop) dispatch(r int) error {
 		ClockBaseNS: s.now,
 		Pilots:      s.pilots,
 	})
-	for _, req := range batch {
-		s.ledgers[r].Free(req.id)
-	}
 	if err != nil {
 		recordBatchError(s.flights[r], s.now, err)
 		return fmt.Errorf("serve: replica %d batch at t=%dns: %w", r, s.now, err)
@@ -459,7 +463,7 @@ func (s *clusterLoop) dispatch(r int) error {
 		waitNS := s.now - req.arrivalNS
 		e2e := done - req.arrivalNS
 		a.complete(e2e, waitNS, req.deadlineNS < done,
-			attribution(waitNS, req.quotaNS, req.retrainNS, serviceNS, results[i].Breakdown))
+			attribution(waitNS, req.quotaNS, req.retrainNS, serviceNS, results[i]))
 		s.completed[r]++
 		if s.homes[req.tenant] == r {
 			s.homeServed[req.tenant]++

@@ -73,13 +73,9 @@ func exactQuantile(sorted []int64, q float64) int64 {
 
 // serveReport folds the per-tenant accumulators into the serving report and
 // attaches the stats to the live recorders. Reservation high-waters are the
-// maxima across the replica ledgers.
+// largest per-batch sums on any replica.
 func (s *clusterLoop) serveReport() Report {
-	var highWater int64
-	for _, l := range s.ledgers {
-		highWater = max(highWater, l.HighWater())
-	}
-	rep := Report{MakespanNS: s.makespanNS, DeviceHighWater: highWater}
+	rep := Report{MakespanNS: s.makespanNS, DeviceHighWater: s.peak}
 	var allLat []int64
 	var allAttribs []obsv.AttributionComponents
 	var queueSum int64
@@ -91,9 +87,7 @@ func (s *clusterLoop) serveReport() Report {
 		st.Tenant = tc.Name
 		st.SLONS = tc.SLONS
 		st.QuotaBytes = tc.QuotaBytes
-		for _, l := range s.ledgers {
-			st.QuotaPeakBytes = max(st.QuotaPeakBytes, l.OwnerHighWater(tc.Name))
-		}
+		st.QuotaPeakBytes = s.tenantPeak[t]
 		s.tenantRecs[t].SetServe(st)
 		rep.Tenants = append(rep.Tenants, TenantReport{Name: tc.Name, Stats: st})
 		allLat = append(allLat, a.latencies...)
@@ -121,7 +115,7 @@ func (s *clusterLoop) serveReport() Report {
 		rep.Total.Attribution = foldAttribution(allAttribs, rep.Total.P99NS)
 	}
 	rep.Total.Batches = s.batches
-	rep.Total.QuotaPeakBytes = highWater
+	rep.Total.QuotaPeakBytes = s.peak
 	rep.Total.Online = s.learner.Stats()
 	if s.batches > 0 {
 		rep.MeanBatchSize = float64(rep.Total.Completed) / float64(s.batches)

@@ -1,7 +1,7 @@
 // Package serve is the multi-tenant serving front-end over the offload
 // engine: an online request stream on the simulated clock, per-tenant
-// admission control backed by the allocator's reservation/quota layer,
-// an SLO-aware (earliest-deadline-first) scheduler with a starvation guard,
+// admission control by byte quotas summed over each forming batch, an
+// SLO-aware (earliest-deadline-first) scheduler with a starvation guard,
 // and continuous batching dispatched through core.RunBatch.
 //
 // Everything runs on simulated nanoseconds and seeded randomness, so the
@@ -21,7 +21,6 @@ import (
 	"sort"
 
 	"dynnoffload/internal/core"
-	"dynnoffload/internal/gpusim"
 	"dynnoffload/internal/mathx"
 	"dynnoffload/internal/obsv"
 	"dynnoffload/internal/online"
@@ -54,8 +53,8 @@ type TenantConfig struct {
 	RatePerSec float64
 	// Seed drives the tenant's arrival process and request sampling.
 	Seed uint64
-	// QuotaBytes caps the tenant's reserved GPU memory; 0 leaves the tenant
-	// bounded only by device capacity.
+	// QuotaBytes caps the GPU memory the tenant's requests reserve in one
+	// batch; 0 or less leaves the tenant bounded only by device capacity.
 	QuotaBytes int64
 	// SLONS is the end-to-end latency objective; a completed request whose
 	// latency exceeds it counts as a violation. 0 disables the deadline (the
@@ -132,7 +131,8 @@ type Report struct {
 	MeanBatchSize float64
 	// MakespanNS is the completion time of the last batch.
 	MakespanNS int64
-	// DeviceHighWater is the reservation ledger's peak across the run.
+	// DeviceHighWater is the most memory one batch reserved on its replica
+	// across the run.
 	DeviceHighWater int64
 	// Flights holds the flight-recorder snapshots, in replica order: any
 	// triggered captures followed by each replica's unconditional end-of-run
@@ -149,12 +149,15 @@ const (
 )
 
 // selectBatch orders the queue — starving requests first (oldest-first),
-// then earliest deadline — and greedily fills a batch from the front:
-// same model context as the anchor, memory reserved against the tenant
-// quota on the given ledger. It returns the batch and the requests left
-// queued for a later dispatch. The event loop calls it with the chosen
-// replica's ledger.
-func selectBatch(queued []*request, now, starveAge int64, maxBatch int, ledger *gpusim.Allocator, tenants []TenantConfig) (batch, rest []*request) {
+// then earliest deadline — and greedily fills a batch from the front: same
+// model context as the anchor, each tenant's bytes in the batch within its
+// quota, and the batch's bytes within capBytes, the chosen replica's device
+// memory. A replica holds nothing between its batches, so these sums are
+// the whole reservation: no reservation outlives the call. held is
+// per-tenant scratch that selectBatch clears and fills with each tenant's
+// bytes in the batch. It returns the batch, the requests left queued for a
+// later dispatch, and the batch's total bytes.
+func selectBatch(queued []*request, now, starveAge int64, maxBatch int, capBytes int64, tenants []TenantConfig, held []int64) (batch, rest []*request, total int64) {
 	q := queued
 	sort.SliceStable(q, func(i, j int) bool {
 		a, b := q[i], q[j]
@@ -178,10 +181,14 @@ func selectBatch(queued []*request, now, starveAge int64, maxBatch int, ledger *
 		return a.seq < b.seq
 	})
 
+	clear(held)
 	rest = queued[:0]
 	for _, r := range q {
 		if len(batch) < maxBatch && (len(batch) == 0 || r.ex.Ctx == batch[0].ex.Ctx) {
-			if ledger.Reserve(tenants[r.tenant].Name, r.id, r.needBytes) == nil {
+			quota := tenants[r.tenant].QuotaBytes
+			if (quota <= 0 || held[r.tenant]+r.needBytes <= quota) && total+r.needBytes <= capBytes {
+				held[r.tenant] += r.needBytes
+				total += r.needBytes
 				// Close out any quota-blocked stretch: the request waited on
 				// its memory reservation from the first refusal until now.
 				if r.quotaSinceNS > 0 {
@@ -191,15 +198,15 @@ func selectBatch(queued []*request, now, starveAge int64, maxBatch int, ledger *
 				batch = append(batch, r)
 				continue
 			}
-			// Refused by the reservation layer specifically (batch had room
-			// and the context matched): the quota wait starts now.
+			// Refused for memory specifically (the batch had room and the
+			// context matched): the quota wait starts now.
 			if r.quotaSinceNS == 0 {
 				r.quotaSinceNS = now
 			}
 		}
 		rest = append(rest, r)
 	}
-	return batch, rest
+	return batch, rest, total
 }
 
 // serviceTime models the continuous batch's occupancy of the device: the
