@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 20s
 COVER_MIN ?= 70
 
-.PHONY: build test check race race-full fmt vet lint bench perfbench-test fuzz cover trace serve-smoke cluster-smoke
+.PHONY: build test check race race-full fmt vet vet-arm64 lint bench perfbench-test fuzz cover trace serve-smoke cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Vet the kernel and its callers as arm64 code too: there MatVecT has only
+# its pure-Go body, so this keeps that body and the build-constrained files
+# compiling. (On amd64, vet's asmdecl already checks the assembly's frame.)
+vet-arm64:
+	GOARCH=arm64 $(GO) vet ./internal/mathx/... ./internal/nn/... ./internal/pilot/...
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -57,11 +63,13 @@ perfbench-test:
 # FuzzParseSpec (the fault-spec parser: no panic; accepted specs round-trip),
 # FuzzLoad (pilot.LoadWithMeta: no panic; an accepted file re-saves to
 # identical bytes), FuzzParseTenants (the dynnserve tenant DSL: no panic;
-# every accepted tenant is within bounds) and FuzzReadChromeTrace (the
+# every accepted tenant is within bounds), FuzzReadChromeTrace (the
 # Chrome-trace reader and the analyses on what it loads: no panic; loaded
 # spans write and read back equal; any span set the writer accepts reads
-# back equal and writes again to the same bytes). Each -fuzz pattern needs its own go
-# test invocation; seed corpora live under the packages' testdata/fuzz/. CI
+# back equal and writes again to the same bytes) and FuzzMatVecT (both
+# MatVecT bodies, assembly and pure Go, against MatVec over the transpose:
+# equal bits). Each -fuzz pattern needs its own go test invocation; seed
+# corpora live in the packages' testdata/fuzz/ or their f.Add calls. CI
 # runs this with a short FUZZTIME as a smoke pass; raise it locally to dig
 # (e.g. make fuzz FUZZTIME=10m).
 fuzz:
@@ -74,6 +82,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/pilot
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTenants$$' -fuzztime $(FUZZTIME) ./cmd/dynnserve
 	$(GO) test -run '^$$' -fuzz '^FuzzReadChromeTrace$$' -fuzztime $(FUZZTIME) ./internal/obsv
+	$(GO) test -run '^$$' -fuzz '^FuzzMatVecT$$' -fuzztime $(FUZZTIME) ./internal/mathx
 
 # Coverage gate over the internal packages: fails below COVER_MIN% total.
 # Leaves coverage.out behind for inspection / CI artifact upload.
@@ -140,7 +149,7 @@ cluster-smoke:
 	$(GO) run ./cmd/dynnbench -exp clustersweep -train 200 -test 40 -epochs 4 \
 		-clusterjson cluster-sweep.json
 
-# The tier-1 gate: build, vet, formatting, project lint, full tests, and the
-# race pass over the concurrent packages.
-check: build vet fmt lint test race
+# The tier-1 gate: build, vet (also as arm64), formatting, project lint,
+# full tests, and the race pass over the concurrent packages.
+check: build vet vet-arm64 fmt lint test race
 	@echo "check: OK"

@@ -208,8 +208,7 @@ func scanModule(root string, patterns []string) (*moduleScan, error) {
 		seen := map[string]bool{}
 		for _, e := range ents {
 			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-				strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			if e.IsDir() || !isPackageFile(dir, name) {
 				continue
 			}
 			fn := filepath.Join(dir, name)

@@ -149,6 +149,40 @@ func TestAnalyzeNoCache(t *testing.T) {
 	}
 }
 
+// TestAnalyzeHonorsBuildConstraints: a package that declares one name in
+// per-architecture files, as internal/mathx does for its assembly kernel,
+// type-checks. Only the files the go command builds for this GOARCH load:
+// _GOARCH name suffixes and //go:build lines both apply, and a file the
+// build ignores is never read, so its clashing declaration and its finding
+// do not appear.
+func TestAnalyzeHonorsBuildConstraints(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":         "module tmpmod\n\ngo 1.21\n",
+		"k/k.go":         "package k\n\n// Arch names the build's architecture family.\nfunc Arch() int { return arch }\n",
+		"k/k_amd64.go":   "package k\n\nconst arch = 1\n",
+		"k/k_arm64.go":   "package k\n\nconst arch = 2\n",
+		"k/k_other.go":   "//go:build !amd64 && !arm64\n\npackage k\n\nconst arch = 3\n",
+		"k/k_ignored.go": "//go:build ignore\n\npackage k\n\nimport \"errors\"\n\nconst arch = 4\n\nvar errGone = errors.New(\"gone\")\n\nfunc isGone(err error) bool { return err == errGone }\n",
+	}
+	for rel, src := range files {
+		fn := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(fn), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fn, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := Analyze(root, []string{"./..."}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Findings) != 0 {
+		t.Fatalf("findings from files the build excludes: %v", res.Findings)
+	}
+}
+
 // TestWriteSARIF pins the SARIF 2.1.0 shape GitHub code scanning consumes:
 // schema/version headers, a rules table covering the analyzer set, and
 // results with rule indices and %SRCROOT%-relative locations.

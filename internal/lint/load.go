@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -255,6 +256,20 @@ func (l *Loader) parseDir(root, modPath, dir string) (*parsedDir, error) {
 	return l.parseDirAs(dir, path)
 }
 
+// isPackageFile reports whether the file name in dir is one of the
+// package's non-test Go files as the go command builds it for this GOOS and
+// GOARCH: //go:build lines and _GOOS/_GOARCH name suffixes apply, so a
+// package that splits a function across per-architecture files type-checks.
+// A file whose constraints cannot be read counts, so its error surfaces
+// when it is parsed.
+func isPackageFile(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return ok || err != nil
+}
+
 func (l *Loader) parseDirAs(dir, importPath string) (*parsedDir, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -264,8 +279,7 @@ func (l *Loader) parseDirAs(dir, importPath string) (*parsedDir, error) {
 	seen := map[string]bool{}
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !isPackageFile(dir, name) {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -373,7 +387,7 @@ func expandPatterns(root string, patterns []string) ([]string, error) {
 			}
 			for _, e := range ents {
 				n := e.Name()
-				if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+				if !e.IsDir() && isPackageFile(path, n) {
 					add(path)
 					break
 				}

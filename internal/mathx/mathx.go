@@ -72,12 +72,37 @@ func MatVec(a []float64, rows, cols int, x, out []float64) {
 	}
 }
 
+// useAVX selects MatVecT's assembly body. It is haveAVX; tests clear it to
+// run the pure-Go body on an AVX host.
+var useAVX = haveAVX
+
 // MatVecT computes out = Aᵀ·x where A is rows×cols row-major and x has rows
-// elements; out has cols elements. Used for backpropagation.
+// elements; out has cols elements. Backpropagation uses it on a layer's
+// weights, and inference on a transposed copy of them (nn.Inference).
+//
+// Each out[c] is summed over the rows in order, from +0, with every product
+// rounded before it is added; a row whose x[r] is ±0 is skipped, which
+// changes no sum when A is finite (a sum started at +0 is never −0). Over
+// the transpose of a matrix this is, element for element, the sum MatVec
+// takes over its rows, so the two agree bit for bit. On amd64 CPUs with AVX
+// it runs as assembly that keeps up to 32 sums in vector registers while it
+// streams the rows; the multiply and the add stay separate instructions, so
+// the bits are those of the pure-Go body, which other CPUs run.
 func MatVecT(a []float64, rows, cols int, x, out []float64) {
 	if len(a) != rows*cols || len(x) != rows || len(out) != cols {
 		panic("mathx: MatVecT shape mismatch") //dynnlint:ignore panicfree shape mismatch is a caller bug; hot-path kernel fails fast like stdlib
 	}
+	if useAVX {
+		matVecTAVX(a, rows, cols, x, out)
+		return
+	}
+	matVecTGo(a, rows, cols, x, out)
+}
+
+// matVecTGo is MatVecT's pure-Go body and the oracle for the assembly one.
+// It keeps the out[c] += v*xr shape, so a GOARCH that fuses multiply-adds
+// (arm64) fuses here exactly where it fuses MatVec's s += row[c]*xv.
+func matVecTGo(a []float64, rows, cols int, x, out []float64) {
 	for c := range out {
 		out[c] = 0
 	}

@@ -1,0 +1,15 @@
+package mathx
+
+// haveAVX reports whether this CPU runs AVX instructions and the OS saves
+// the YMM registers across context switches. It is read once, at start-up.
+var haveAVX = cpuHasAVX()
+
+// cpuHasAVX checks CPUID leaf 1 for AVX and OSXSAVE, then XCR0 (via XGETBV)
+// for the XMM and YMM state bits.
+func cpuHasAVX() bool
+
+// matVecTAVX is MatVecT's AVX body. It takes the shapes MatVecT has already
+// checked.
+//
+//go:noescape
+func matVecTAVX(a []float64, rows, cols int, x, out []float64)

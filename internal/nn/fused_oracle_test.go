@@ -39,12 +39,12 @@ func oracleTrainStepFrom(m *MLP, in, target []float64, lr, momentum float64, fro
 	// Momentum update on the unfrozen layers.
 	for li := from; li < len(m.Layers); li++ {
 		l := m.Layers[li]
-		if l.vW == nil {
-			l.vW = make([]float64, len(l.W))
-			l.vB = make([]float64, len(l.B))
-		}
 		in := m.acts[li]
 		if momentum > 0 {
+			if l.vW == nil {
+				l.vW = make([]float64, len(l.W))
+				l.vB = make([]float64, len(l.B))
+			}
 			mathx.Scale(momentum, l.vW)
 			mathx.Scale(momentum, l.vB)
 			mathx.OuterAxpy(-lr, m.deltas[li], in, l.vW)
@@ -73,11 +73,12 @@ func sameBits(what string, got, want []float64) error {
 }
 
 // TestFusedTrainStepMatchesOracle pins TrainStepFrom to the unfused oracle
-// bit for bit — weights, biases, both velocities, and every loss — over
-// several epochs, for a full step (from = 0), a head-only step (from =
-// last) and one in between, with and without momentum. ReLU hidden layers
-// and targets copied from the current output make many deltas exactly 0, so
-// the zero-row skips are exercised on every layer.
+// bit for bit — weights, biases, and every loss, plus both velocities with
+// momentum — over several epochs, for a full step (from = 0), a head-only
+// step (from = last) and one in between, with and without momentum. Plain
+// SGD (momentum 0) never reads velocities, so there they must stay nil.
+// ReLU hidden layers and targets copied from the current output make many
+// deltas exactly 0, so the zero-row skips are exercised on every layer.
 func TestFusedTrainStepMatchesOracle(t *testing.T) {
 	const epochs, samples = 4, 24
 	data := mathx.NewRNG(3)
@@ -118,10 +119,13 @@ func TestFusedTrainStepMatchesOracle(t *testing.T) {
 						}
 						for li := range want.Layers {
 							g, w := got.Layers[li], want.Layers[li]
-							for _, err := range []error{
-								sameBits("W", g.W, w.W), sameBits("B", g.B, w.B),
-								sameBits("vW", g.vW, w.vW), sameBits("vB", g.vB, w.vB),
-							} {
+							errs := []error{sameBits("W", g.W, w.W), sameBits("B", g.B, w.B)}
+							if momentum > 0 {
+								errs = append(errs, sameBits("vW", g.vW, w.vW), sameBits("vB", g.vB, w.vB))
+							} else if g.vW != nil || g.vB != nil {
+								errs = append(errs, fmt.Errorf("plain SGD allocated velocities (%d, %d)", len(g.vW), len(g.vB)))
+							}
+							for _, err := range errs {
 								if err != nil {
 									t.Fatalf("%s: layer %d: %v", where, li, err)
 								}

@@ -95,6 +95,7 @@ func LoadWithMeta(r io.Reader) (*Pilot, map[string]string, error) {
 			copy(l.B, pl.B)
 			l.Act = nn.Activation(pl.Act)
 		}
+		p.mlps[i].SyncInference(0)
 	}
 	p.featMean, p.featStd = in.FeatMean, in.FeatStd
 	p.labelMean, p.labelStd = in.LabelMean, in.LabelStd

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynnoffload/internal/dynn"
@@ -70,6 +71,17 @@ func (c *Config) defaults() {
 type Pilot struct {
 	Cfg  Config
 	mlps [dynn.NumBaseTypes]*nn.MLP
+	// shared marks the MLPs this pilot may share with a clone of it or with
+	// the pilot it was cloned from: Clone shares every MLP, and Train and
+	// Refine copy a shared MLP (own) before they change it. An online
+	// learner's clones train one MLP each, so they copy only that one. The
+	// flags are atomic because Clone sets its source's, and two goroutines
+	// may clone one pilot at once.
+	shared [dynn.NumBaseTypes]atomic.Bool
+	// borrowed marks the shared MLPs this pilot got from Clone. A shared
+	// MLP's momentum velocities are those of the one pilot that did not
+	// borrow it; a clone starts without any, as a new MLP does.
+	borrowed [dynn.NumBaseTypes]bool
 
 	featMean, featStd   []float64
 	labelMean, labelStd []float64
@@ -86,11 +98,11 @@ type Pilot struct {
 	normLabels map[*ModelContext][]float64
 
 	// scratch pools inference buffers (*[]float64: normalized features,
-	// then the MLP's activations), one per in-flight Predict or Resolve, so
-	// a warm call allocates only the output it returns. Clone starts a
-	// fresh pool. It is a separate object because the runtime keeps a used
-	// pool reachable until two GCs later: embedded, it would keep a
-	// discarded pilot's weights alive that long too.
+	// then the inference copy's activations), one per in-flight Predict or
+	// Resolve, so a warm call allocates only the output it returns. Clone
+	// starts a fresh pool. It is a separate object because the runtime
+	// keeps a used pool reachable until two GCs later: embedded, it would
+	// keep a discarded pilot's weights alive that long too.
 	scratch *sync.Pool
 
 	// version counts the weight updates (Train and Refine calls) this
@@ -182,10 +194,15 @@ type TrainResult struct {
 }
 
 // Train fits the pilot on examples with per-sample SGD (the pilot trains
-// offline, §IV-D). Examples route to the MLP of their base type.
+// offline, §IV-D). Examples route to the MLP of their base type. At the end
+// every MLP's inference copy, which Predict and Resolve run, is synced to
+// the new weights.
 func (p *Pilot) Train(examples []*Example) TrainResult {
 	sw := obsv.StartTimer()
 	p.version++
+	for i := range p.mlps {
+		p.own(i)
+	}
 	p.fitScalers(examples)
 	p.normMu.Lock()
 	p.normLabels = map[*ModelContext][]float64{}
@@ -214,6 +231,9 @@ func (p *Pilot) Train(examples []*Example) TrainResult {
 		lastLoss = lossSum / float64(len(examples))
 		lr *= p.Cfg.LRDecay
 	}
+	for _, m := range p.mlps {
+		m.SyncInference(0)
+	}
 	res.Epochs = p.Cfg.Epochs
 	res.FinalLoss = lastLoss
 	res.WallClock = sw.Elapsed()
@@ -230,14 +250,19 @@ func (p *Pilot) Trained() bool { return p.featMean != nil }
 // request. Like Resolve, it must not run concurrently with Train or Refine.
 func (p *Pilot) Version() uint64 { return p.version }
 
-// Clone returns a deep copy of the pilot: its own MLPs, scaler copies, and a
-// fresh normalized-label cache. The online learner refines a clone so the
-// serving feedback loop never mutates the offline-trained pilot the training
-// engines share.
+// Clone returns a copy of the pilot: scaler copies, a fresh normalized-label
+// cache, and the MLPs with their inference copies, which the two pilots
+// share copy-on-write, so training either one leaves the other unchanged. A
+// clone starts without momentum, as a loaded pilot does. The online learner
+// refines a clone so the serving feedback loop never mutates the
+// offline-trained pilot the training engines share.
 func (p *Pilot) Clone() *Pilot {
 	c := &Pilot{Cfg: p.Cfg, scratch: new(sync.Pool)}
 	for i, m := range p.mlps {
-		c.mlps[i] = m.Clone()
+		p.shared[i].Store(true)
+		c.shared[i].Store(true)
+		c.borrowed[i] = true
+		c.mlps[i] = m
 	}
 	c.featMean = append([]float64(nil), p.featMean...)
 	c.featStd = append([]float64(nil), p.featStd...)
@@ -247,6 +272,22 @@ func (p *Pilot) Clone() *Pilot {
 		c.normLabels = map[*ModelContext][]float64{}
 	}
 	return c
+}
+
+// own gives the pilot its own copy of MLP i, weights and inference copy,
+// if it may share that MLP with another pilot, and returns the MLP, which
+// the caller may then train. The copy takes the shared MLP's momentum
+// velocities unless the pilot borrowed it.
+func (p *Pilot) own(i int) *nn.MLP {
+	if p.shared[i].Load() {
+		m := p.mlps[i].Clone()
+		if !p.borrowed[i] {
+			m.TakeMomentum(p.mlps[i])
+		}
+		p.mlps[i], p.borrowed[i] = m, false
+		p.shared[i].Store(false)
+	}
+	return p.mlps[i]
 }
 
 // RefineConfig parameterizes one Refine pass (online minibatch retraining).
@@ -264,7 +305,9 @@ type RefineConfig struct {
 // feature/label standardization (and therefore the normalized-label path
 // matching space) stays exactly as Train left it, so Resolve stays consistent
 // across incremental updates. This is the online-learning training step; it
-// returns the mean pre-update loss of the final epoch. Refine must not run
+// returns the mean pre-update loss of the final epoch. It then syncs the
+// inference copies of the layers it may have moved, in place; the first
+// Refine of a clone copies the MLPs it trains. Refine must not run
 // concurrently with Resolve — the serving loops call it serially between
 // dispatches. It fails with ErrNotTrained before Train.
 func (p *Pilot) Refine(examples []*Example, rc RefineConfig) (float64, error) {
@@ -293,9 +336,16 @@ func (p *Pilot) Refine(examples []*Example, rc RefineConfig) (float64, error) {
 			e := examples[idx]
 			normalize(e.Features, p.featMean, p.featStd, fbuf)
 			normalize(e.Label, p.labelMean, p.labelStd, lbuf)
-			lossSum += p.mlps[int(e.Base)].TrainStepFrom(fbuf, lbuf, rc.LR, rc.Momentum, from)
+			lossSum += p.own(int(e.Base)).TrainStepFrom(fbuf, lbuf, rc.LR, rc.Momentum, from)
 		}
 		lastLoss = lossSum / float64(len(examples))
+	}
+	// Layers below from did not move, so their inference copy is current,
+	// and so is all of a shared MLP's: no step trained it.
+	for i, m := range p.mlps {
+		if !p.shared[i].Load() {
+			m.SyncInference(from)
+		}
 	}
 	return lastLoss, nil
 }
@@ -316,19 +366,20 @@ func (p *Pilot) Predict(base dynn.BaseType, features []float64) ([]float64, time
 	return out, sw.Elapsed(), nil
 }
 
-// inferNorm normalizes features and runs the base type's MLP on them in
-// pooled scratch. The returned normalized output aliases *buf; the caller
-// puts buf back into p.scratch once it is done with the output.
+// inferNorm normalizes features and runs the inference copy of the base
+// type's MLP on them in pooled scratch. The returned normalized output
+// aliases *buf; the caller puts buf back into p.scratch once it is done with
+// the output.
 func (p *Pilot) inferNorm(base dynn.BaseType, features []float64) ([]float64, *[]float64) {
-	m := p.mlps[int(base)]
+	inf := p.mlps[int(base)].Inference()
 	buf, ok := p.scratch.Get().(*[]float64)
 	if !ok {
-		s := make([]float64, m.InputSize()+m.InferScratchLen())
+		s := make([]float64, inf.InputSize()+inf.ScratchLen())
 		buf = &s
 	}
 	fbuf := (*buf)[:len(features)]
 	normalize(features, p.featMean, p.featStd, fbuf)
-	return m.InferInto(fbuf, (*buf)[m.InputSize():]), buf
+	return inf.Run(fbuf, (*buf)[inf.InputSize():]), buf
 }
 
 // Resolution is the result of one pilot inference plus output→path mapping.
