@@ -66,9 +66,9 @@ perfbench-test:
 # every accepted tenant is within bounds), FuzzReadChromeTrace (the
 # Chrome-trace reader and the analyses on what it loads: no panic; loaded
 # spans write and read back equal; any span set the writer accepts reads
-# back equal and writes again to the same bytes) and FuzzMatVecT (both
-# MatVecT bodies, assembly and pure Go, against MatVec over the transpose:
-# equal bits). Each -fuzz pattern needs its own go test invocation; seed
+# back equal and writes again to the same bytes) and FuzzMatVecT (the
+# pilot MLPs' forward kernel in training and inference: both MatVecT bodies,
+# assembly and pure Go, against MatVec over the transpose: equal bits). Each -fuzz pattern needs its own go test invocation; seed
 # corpora live in the packages' testdata/fuzz/ or their f.Add calls. CI
 # runs this with a short FUZZTIME as a smoke pass; raise it locally to dig
 # (e.g. make fuzz FUZZTIME=10m).

@@ -58,15 +58,11 @@ var (
 // clusterSettings is the resolved configuration a Cluster runs under;
 // NewCluster and System.Cluster assemble it from functional options.
 type clusterSettings struct {
-	gpus      int
-	topology  Topology
-	topoSet   bool
-	gradBytes int64
-	gradSet   bool
-	tracer    *Tracer
-	onDemand  bool
-	online    OnlineConfig
-	sysOpts   []Option
+	gpus     int
+	tracer   *Tracer
+	onDemand bool
+	online   OnlineConfig
+	sysOpts  []Option
 }
 
 // ClusterOption mutates the cluster settings during NewCluster.
@@ -75,18 +71,6 @@ type ClusterOption func(*clusterSettings)
 // WithGPUs sets the data-parallel width: one simulated GPU (one engine, one
 // allocator, its own streams) per replica. Default 1.
 func WithGPUs(n int) ClusterOption { return func(c *clusterSettings) { c.gpus = n } }
-
-// WithTopology overrides the interconnect wiring (default: DefaultTopology
-// of the system's platform).
-func WithTopology(t Topology) ClusterOption {
-	return func(c *clusterSettings) { c.topology = t; c.topoSet = true }
-}
-
-// WithGradVolume overrides the gradient bytes ring-all-reduced per training
-// step (default: the model's total gradient footprint).
-func WithGradVolume(bytes int64) ClusterOption {
-	return func(c *clusterSettings) { c.gradBytes = bytes; c.gradSet = true }
-}
 
 // WithClusterTracer collects per-GPU engine spans plus allreduce/offload link
 // spans on the shared cluster clock. Build the tracer with
@@ -172,17 +156,14 @@ func (s *System) cluster(cs clusterSettings) (*Cluster, error) {
 	if cs.gpus < 1 {
 		return nil, fmt.Errorf("%w: GPUs = %d", ErrBadCluster, cs.gpus)
 	}
-	if !cs.topoSet {
-		cs.topology = DefaultTopology(s.cfg.Platform)
-	}
-	if !cs.gradSet {
-		for _, ws := range s.cfg.Model.WeightStates() {
-			cs.gradBytes += ws.Grad.Bytes()
-		}
-	}
+	// The interconnect is the platform's default wiring, and each training
+	// step ring-all-reduces the model's whole gradient footprint.
 	c := &Cluster{
-		sys: s, gpus: cs.gpus, topology: cs.topology, grad: cs.gradBytes,
+		sys: s, gpus: cs.gpus, topology: DefaultTopology(s.cfg.Platform),
 		tracer: cs.tracer, onDemand: cs.onDemand, online: cs.online,
+	}
+	for _, ws := range s.cfg.Model.WeightStates() {
+		c.grad += ws.Grad.Bytes()
 	}
 	// Validate the wiring now, not on first use.
 	if _, err := distributed.New(c.trainConfig(), c.engines()); err != nil {

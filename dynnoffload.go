@@ -46,7 +46,7 @@ import (
 // keep the human-readable detail.
 var (
 	// ErrPilotNotTrained: TrainEpoch/PilotAccuracy/the dynn-offload runner
-	// need a trained pilot (supply one with WithPilot or call TrainPilot).
+	// need a trained pilot (call TrainPilot).
 	ErrPilotNotTrained = core.ErrPilotNotTrained
 	// ErrUnknownPath: a sample resolved to a path absent from the model
 	// context.
@@ -127,10 +127,8 @@ var (
 type SystemConfig struct {
 	Model    dynn.Model
 	Platform gpusim.Platform
-	// Pilot optionally supplies a pre-trained pilot; when nil, TrainPilot
-	// must be called before TrainEpoch.
-	Pilot *pilot.Pilot
-	// PilotConfig configures the pilot trained by TrainPilot.
+	// PilotConfig configures the pilot trained by TrainPilot, which must be
+	// called before TrainEpoch.
 	PilotConfig pilot.Config
 	// Workers sizes TrainEpoch's worker pool: 0 runs serially, <0 uses
 	// GOMAXPROCS. Epoch aggregates are identical at any setting.
@@ -165,9 +163,6 @@ func WithPlatform(p Platform) Option { return func(c *SystemConfig) { c.Platform
 
 // WithPilotConfig configures the pilot trained by TrainPilot.
 func WithPilotConfig(pc PilotConfig) Option { return func(c *SystemConfig) { c.PilotConfig = pc } }
-
-// WithPilot supplies a pre-trained pilot so TrainPilot can be skipped.
-func WithPilot(p *Pilot) Option { return func(c *SystemConfig) { c.Pilot = p } }
 
 // WithWorkers sizes TrainEpoch's worker pool: 0 serial, <0 GOMAXPROCS.
 func WithWorkers(n int) Option { return func(c *SystemConfig) { c.Workers = n } }
@@ -234,11 +229,7 @@ func newSystem(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, ctx: ctx, pilot: cfg.Pilot, plans: core.NewPlanCache()}
-	if s.pilot != nil {
-		s.engine = core.NewEngine(s.engineConfig(), s.pilot)
-	}
-	return s, nil
+	return &System{cfg: cfg, ctx: ctx, plans: core.NewPlanCache()}, nil
 }
 
 // pressurePlatform analyzes the model's paths at full memory (no

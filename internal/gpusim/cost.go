@@ -47,13 +47,3 @@ func (c CostModel) XferTime(n int64) int64 {
 func (c CostModel) BatchedXferTime(total int64) int64 {
 	return c.XferTime(total)
 }
-
-// SeqTime returns the pure compute time of an op sequence (no migration),
-// the PyTorch-in-memory baseline.
-func (c CostModel) SeqTime(ops []*graph.Op) int64 {
-	var t int64
-	for _, op := range ops {
-		t += c.OpTime(op)
-	}
-	return t
-}

@@ -77,8 +77,8 @@ func MatVec(a []float64, rows, cols int, x, out []float64) {
 var useAVX = haveAVX
 
 // MatVecT computes out = Aᵀ·x where A is rows×cols row-major and x has rows
-// elements; out has cols elements. Backpropagation uses it on a layer's
-// weights, and inference on a transposed copy of them (nn.Inference).
+// elements; out has cols elements. It is the forward pass of every nn
+// layer, whose weights are stored In×Out, in training and inference alike.
 //
 // Each out[c] is summed over the rows in order, from +0, with every product
 // rounded before it is added; a row whose x[r] is ±0 is skipped, which

@@ -8,13 +8,24 @@ import (
 	"dynnoffload/internal/mathx"
 )
 
-// oracleTrainStepFrom is TrainStepFrom as it was before the fused momentum
-// step, kept as the test oracle for momentumStep: backpropagation first
-// (MatVecT and the derivative, layer by layer down to from), then, layer by
-// layer from the bottom up, Scale of the velocities, OuterAxpy and Axpy of
-// the gradient into them, and Axpy of the velocities into the weights.
+// oracleTrainStepFrom is TrainStepFrom as it was before the fused step,
+// kept as the test oracle for Layer.step: backpropagation first (MatVecT
+// and the derivative, layer by layer down to from), then, layer by layer
+// from the bottom up, Scale of the velocities, OuterAxpy and Axpy of the
+// gradient into them, and Axpy of the velocities into the weights. That
+// arithmetic runs on Out×In row-major copies of the weights and velocities,
+// the layout it was written for, which it writes back In×Out at the end.
 func oracleTrainStepFrom(m *MLP, in, target []float64, lr, momentum float64, from int) float64 {
 	out := m.Forward(in)
+	type layer struct{ W, vW, B, vB []float64 }
+	ls := make([]*layer, len(m.Layers))
+	for li, l := range m.Layers {
+		ls[li] = &layer{W: l.OutByIn(), B: l.B, vB: l.vB}
+		if l.vW != nil {
+			ls[li].vW = make([]float64, len(l.vW))
+			transpose(ls[li].vW, l.vW, l.In, l.Out)
+		}
+	}
 	last := len(m.Layers) - 1
 	var loss float64
 	for i, o := range out {
@@ -29,8 +40,8 @@ func oracleTrainStepFrom(m *MLP, in, target []float64, lr, momentum float64, fro
 
 	// Backpropagate deltas down to the first unfrozen layer.
 	for li := last; li > from; li-- {
-		l := m.Layers[li]
-		mathx.MatVecT(l.W, l.Out, l.In, m.deltas[li], m.deltas[li-1])
+		l, ol := m.Layers[li], ls[li]
+		mathx.MatVecT(ol.W, l.Out, l.In, m.deltas[li], m.deltas[li-1])
 		prev := m.acts[li]
 		for i := range m.deltas[li-1] {
 			m.deltas[li-1][i] *= m.Layers[li-1].Act.deriv(prev[i])
@@ -38,7 +49,7 @@ func oracleTrainStepFrom(m *MLP, in, target []float64, lr, momentum float64, fro
 	}
 	// Momentum update on the unfrozen layers.
 	for li := from; li < len(m.Layers); li++ {
-		l := m.Layers[li]
+		l := ls[li]
 		in := m.acts[li]
 		if momentum > 0 {
 			if l.vW == nil {
@@ -54,6 +65,13 @@ func oracleTrainStepFrom(m *MLP, in, target []float64, lr, momentum float64, fro
 		} else {
 			mathx.OuterAxpy(-lr, m.deltas[li], in, l.W)
 			mathx.Axpy(-lr, m.deltas[li], l.B)
+		}
+	}
+	for li, l := range m.Layers {
+		l.SetOutByIn(ls[li].W)
+		if ls[li].vW != nil {
+			l.vW, l.vB = make([]float64, len(l.W)), ls[li].vB
+			transpose(l.vW, ls[li].vW, l.Out, l.In)
 		}
 	}
 	return loss

@@ -86,10 +86,12 @@ func (a Activation) deriv(y float64) float64 {
 	panic("nn: unknown activation") //dynnlint:ignore panicfree unknown activation is unreachable for the fixed enum; guards future edits
 }
 
-// Layer is one fully-connected layer: out = act(W·in + b).
+// Layer is one fully-connected layer: out = act(Wᵀ·in + b). W is stored
+// In×Out row-major, the layout mathx.MatVecT reads, so the forward pass,
+// backpropagation and the weight update all walk it row by row.
 type Layer struct {
 	In, Out int
-	W       []float64 // Out×In row-major
+	W       []float64 // In×Out row-major: W[c*Out+r] weighs input c into output r
 	B       []float64 // Out
 	Act     Activation
 
@@ -98,21 +100,47 @@ type Layer struct {
 	vW, vB []float64
 }
 
-// NewLayer creates a layer with Kaiming-style initialization from rng.
+// NewLayer creates a layer with Kaiming-style initialization from rng,
+// drawing the weights output by output (every input of output 0 first).
 func NewLayer(in, out int, act Activation, rng *mathx.RNG) *Layer {
 	l := &Layer{In: in, Out: out, Act: act,
 		W: make([]float64, in*out), B: make([]float64, out)}
 	sigma := math.Sqrt(2 / float64(in))
-	rng.NormVec(l.W, sigma)
+	for r := 0; r < out; r++ {
+		for c := 0; c < in; c++ {
+			l.W[c*out+r] = rng.Norm() * sigma
+		}
+	}
 	return l
 }
 
 // Params returns the number of trainable parameters.
 func (l *Layer) Params() int { return len(l.W) + len(l.B) }
 
-// Forward computes the layer output into out (length Out).
+// OutByIn returns a copy of the weights transposed to Out×In row-major,
+// the order NewLayer draws them in.
+func (l *Layer) OutByIn() []float64 {
+	w := make([]float64, len(l.W))
+	transpose(w, l.W, l.In, l.Out)
+	return w
+}
+
+// SetOutByIn sets the weights from w, which is Out×In row-major.
+func (l *Layer) SetOutByIn(w []float64) { transpose(l.W, w, l.Out, l.In) }
+
+// transpose writes src, rows×cols row-major, into dst as cols×rows.
+func transpose(dst, src []float64, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : (r+1)*cols] {
+			dst[c*rows+r] = v
+		}
+	}
+}
+
+// Forward computes the layer output into out (length Out). It only reads
+// the layer, so any number of Forward calls may run at once.
 func (l *Layer) Forward(in, out []float64) {
-	mathx.MatVec(l.W, l.Out, l.In, in, out)
+	mathx.MatVecT(l.W, l.In, l.Out, in, out)
 	for i := range out {
 		out[i] = l.Act.apply(out[i] + l.B[i])
 	}
@@ -126,9 +154,6 @@ type MLP struct {
 	// scratch activations, one slice per layer output plus the input.
 	acts   [][]float64
 	deltas [][]float64
-	// inf is the inference copy of the weights, nil until the first
-	// SyncInference.
-	inf *Inference
 }
 
 // NewMLP builds an MLP with the given layer sizes (sizes[0] is the input
@@ -187,90 +212,30 @@ func (m *MLP) Forward(in []float64) []float64 {
 	return m.acts[len(m.acts)-1]
 }
 
-// Inference is an MLP's inference copy: every layer's weights transposed to
-// In×Out row-major for mathx.MatVecT, beside copies of its biases and its
-// activation. MatVecT over the transpose takes, output for output, the same
-// left-to-right sums from +0 of separately rounded products that
-// Layer.Forward's MatVec takes over the row-major weights, so Run returns
-// bit for bit what the Forward chain returns on the weights the copy was
-// taken from; on amd64 with AVX it does so about three times faster.
-//
-// The copy changes only in MLP.SyncInference. Between syncs it is
-// read-only, so any number of Run calls may share it; training does not
-// touch it, so the MLP's owner syncs it after each round of weight updates.
-type Inference struct {
-	layers []inferLayer
-}
-
-type inferLayer struct {
-	in, out int
-	wt      []float64 // In×Out: the transpose of the layer's W
-	b       []float64
-	act     Activation
-}
-
-// Inference returns the MLP's inference copy as of the last SyncInference,
-// or nil before the first.
-func (m *MLP) Inference() *Inference { return m.inf }
-
-// SyncInference rewrites the inference copy of layers from, from+1, … from
-// their current weights, biases and activations, into the copy's existing
-// buffers, so it allocates nothing; the first call allocates the copy and
-// fills every layer whatever from is. Layers below from keep their copy:
-// after TrainStepFrom(…, from) steps they are still current. It must not run
-// concurrently with Run on the copy.
-func (m *MLP) SyncInference(from int) {
-	if m.inf == nil {
-		m.inf = &Inference{layers: make([]inferLayer, len(m.Layers))}
-		for i, l := range m.Layers {
-			m.inf.layers[i] = inferLayer{in: l.In, out: l.Out,
-				wt: make([]float64, len(l.W)), b: make([]float64, len(l.B))}
-		}
-		from = 0
-	}
-	for i := from; i < len(m.Layers); i++ {
-		l, c := m.Layers[i], &m.inf.layers[i]
-		for r := 0; r < l.Out; r++ {
-			for k, w := range l.W[r*l.In : (r+1)*l.In] {
-				c.wt[k*l.Out+r] = w
-			}
-		}
-		copy(c.b, l.B)
-		c.act = l.Act
-	}
-}
-
-// InputSize returns the expected input width.
-func (f *Inference) InputSize() int { return f.layers[0].in }
-
 // ScratchLen returns the scratch length Run needs: one element per output
 // of every layer.
-func (f *Inference) ScratchLen() int {
+func (m *MLP) ScratchLen() int {
 	n := 0
-	for _, l := range f.layers {
-		n += l.out
+	for _, l := range m.Layers {
+		n += l.Out
 	}
 	return n
 }
 
-// Run computes the network's output for in, keeping every layer's
-// activations in the caller's scratch (at least ScratchLen long), so a
-// caller that reuses its scratch runs inference without allocating. The
-// returned output is a sub-slice of scratch, valid until the scratch is
-// reused.
-func (f *Inference) Run(in, scratch []float64) []float64 {
-	if len(in) != f.InputSize() {
-		panic(fmt.Sprintf("nn: Run input width %d, want %d", len(in), f.InputSize())) //dynnlint:ignore panicfree width mismatch is a caller bug; hot-path kernel fails fast like stdlib
+// Run computes the network's output for in like Forward, but keeps every
+// layer's activations in the caller's scratch (at least ScratchLen long)
+// and writes nothing to the MLP, so any number of Run calls may share it
+// while no training step runs. The returned output is a sub-slice of
+// scratch, valid until the scratch is reused.
+func (m *MLP) Run(in, scratch []float64) []float64 {
+	if len(in) != m.InputSize() {
+		panic(fmt.Sprintf("nn: Run input width %d, want %d", len(in), m.InputSize())) //dynnlint:ignore panicfree width mismatch is a caller bug; hot-path kernel fails fast like stdlib
 	}
 	cur := in
-	for i := range f.layers {
-		l := &f.layers[i]
-		out := scratch[:l.out]
-		scratch = scratch[l.out:]
-		mathx.MatVecT(l.wt, l.in, l.out, cur, out)
-		for j := range out {
-			out[j] = l.act.apply(out[j] + l.b[j])
-		}
+	for _, l := range m.Layers {
+		out := scratch[:l.Out]
+		scratch = scratch[l.Out:]
+		l.Forward(cur, out)
 		cur = out
 	}
 	return cur
@@ -313,28 +278,20 @@ func (m *MLP) TrainStepFrom(in, target []float64, lr, momentum float64, from int
 	}
 
 	// Walk the unfrozen layers top down. Each backpropagates its deltas into
-	// the layer below with its pre-update weights, then takes its momentum
-	// step; no layer's update feeds another's, so the order of the updates
-	// does not matter.
+	// the layer below with its pre-update weights as it takes its step; no
+	// layer's update feeds another's, so the order of the updates does not
+	// matter.
 	for li := last; li >= from; li-- {
 		l := m.Layers[li]
 		var below []float64
 		if li > from {
 			below = m.deltas[li-1]
 		}
-		if momentum > 0 {
-			if l.vW == nil {
-				l.vW = make([]float64, len(l.W))
-				l.vB = make([]float64, len(l.B))
-			}
-			l.momentumStep(m.deltas[li], m.acts[li], below, lr, momentum)
-		} else {
-			if below != nil {
-				mathx.MatVecT(l.W, l.Out, l.In, m.deltas[li], below)
-			}
-			mathx.OuterAxpy(-lr, m.deltas[li], m.acts[li], l.W)
-			mathx.Axpy(-lr, m.deltas[li], l.B)
+		if momentum > 0 && l.vW == nil {
+			l.vW = make([]float64, len(l.W))
+			l.vB = make([]float64, len(l.B))
 		}
+		l.step(m.deltas[li], m.acts[li], below, lr, momentum)
 		if below != nil {
 			prev := m.acts[li]
 			for i := range below {
@@ -345,48 +302,81 @@ func (m *MLP) TrainStepFrom(in, target []float64, lr, momentum float64, from int
 	return loss
 }
 
-// momentumStep is one SGD-with-momentum update of the layer in a single pass
-// over its weight rows, given the layer's deltas and its input x. When below
-// is non-nil it first receives the backpropagated deltas W^T·delta (before
-// the activation derivative), computed with the weights as they were before
-// this step. Row by row it performs exactly the operations, in the same
-// order, of MatVecT into below, Scale(m) of the velocities, OuterAxpy and
-// Axpy of -lr·delta·x into them, and Axpy of the velocities into W and B,
-// so the result is bit-identical to those separate passes:
+// step is one SGD update of the layer, with momentum mo when mo > 0 and
+// plain otherwise, in a single pass over its weight rows, given the layer's
+// deltas and its input x. When below is non-nil it also receives the
+// backpropagated deltas W·delta (before the activation derivative), taken
+// from the weights as they were before this step. Element for element it
+// performs, in the same order, the operations of separate passes of
+// MatVecT into below, Scale(mo) of the velocities, OuterAxpy and Axpy of
+// -lr·delta·x into them (or, without momentum, into W and B), and Axpy of
+// the velocities into W and B, so the result is bit-identical to them:
 //
-//   - rows whose delta is exactly 0 add nothing to below and leave v·m
-//     unchanged, as MatVecT and OuterAxpy skip them;
-//   - v·m is rounded on its own (the float64 conversion), so no platform
+//   - below[c] sums w·delta[r] over r in order from +0, and an output whose
+//     delta is exactly 0 adds nothing to it and leaves v·mo (without
+//     momentum, w) as it is, as MatVecT and OuterAxpy skip it;
+//   - v·mo is rounded on its own (the float64 conversion), so no platform
 //     fuses it with the following add into one multiply-add.
-func (l *Layer) momentumStep(delta, x, below []float64, lr, m float64) {
-	for c := range below {
-		below[c] = 0
-	}
+//
+// With momentum it walks two input rows per pass, so their backprop sums
+// are two independent add chains that the CPU overlaps.
+func (l *Layer) step(delta, x, below []float64, lr, mo float64) {
+	n, nlr := len(delta), -lr
 	for r, d := range delta {
-		w := l.W[r*l.In : (r+1)*l.In]
-		v := l.vW[r*l.In : (r+1)*l.In][:len(w)]
-		switch {
-		case d == 0:
-			for c := range w {
-				v[c] = float64(v[c] * m)
-				w[c] += v[c]
+		if mo > 0 {
+			l.vB[r] = float64(l.vB[r]*mo) + nlr*d
+			l.B[r] += l.vB[r]
+		} else {
+			l.B[r] += nlr * d
+		}
+	}
+	c := 0
+	for ; mo > 0 && c+2 <= l.In; c += 2 {
+		w0, w1 := l.W[c*n:][:n], l.W[(c+1)*n:][:n]
+		v0, v1 := l.vW[c*n:][:n], l.vW[(c+1)*n:][:n]
+		x0, x1 := x[c], x[c+1]
+		var s0, s1 float64
+		for r, d := range delta {
+			a0, a1 := float64(v0[r]*mo), float64(v1[r]*mo)
+			if d != 0 {
+				s0 += w0[r] * d
+				s1 += w1[r] * d
+				f := nlr * d
+				a0 += f * x0
+				a1 += f * x1
 			}
-		case below != nil:
-			f, x, below := -lr*d, x[:len(w)], below[:len(w)]
-			for c := range w {
-				below[c] += w[c] * d
-				v[c] = float64(v[c]*m) + f*x[c]
-				w[c] += v[c]
-			}
-		default:
-			f, x := -lr*d, x[:len(w)]
-			for c := range w {
-				v[c] = float64(v[c]*m) + f*x[c]
-				w[c] += v[c]
+			v0[r], v1[r] = a0, a1
+			w0[r] += a0
+			w1[r] += a1
+		}
+		if below != nil {
+			below[c], below[c+1] = s0, s1
+		}
+	}
+	// Plain SGD, and the last row of an odd-height layer with momentum.
+	for ; c < l.In; c++ {
+		w, v, xc := l.W[c*n:][:n], []float64(nil), x[c]
+		if mo > 0 {
+			v = l.vW[c*n:][:n]
+		}
+		var s float64
+		for r, d := range delta {
+			switch {
+			case mo > 0 && d == 0:
+				v[r] *= mo
+				w[r] += v[r]
+			case mo > 0:
+				s += w[r] * d
+				v[r] = float64(v[r]*mo) + nlr*d*xc
+				w[r] += v[r]
+			case d != 0:
+				s += w[r] * d
+				w[r] += nlr * d * xc
 			}
 		}
-		l.vB[r] = float64(l.vB[r]*m) + -lr*d
-		l.B[r] += l.vB[r]
+		if below != nil {
+			below[c] = s
+		}
 	}
 }
 
@@ -403,8 +393,7 @@ func (m *MLP) Loss(in, target []float64) float64 {
 
 // Clone returns a deep copy of the weights (scratch buffers not shared) with
 // no momentum: its first step with momentum starts from zero velocities, as
-// a new MLP's does. When m has an inference copy, the clone gets its own,
-// synced from the copied weights.
+// a new MLP's does.
 func (m *MLP) Clone() *MLP {
 	c := &MLP{}
 	for _, l := range m.Layers {
@@ -413,9 +402,6 @@ func (m *MLP) Clone() *MLP {
 		c.Layers = append(c.Layers, nl)
 	}
 	c.initScratch()
-	if m.inf != nil {
-		c.SyncInference(0)
-	}
 	return c
 }
 

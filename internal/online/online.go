@@ -44,13 +44,10 @@ type Config struct {
 	MinibatchSize int
 	// Epochs per retrain over the minibatch (default 1).
 	Epochs int
-	// LR and Momentum are the SGD hyper-parameters for Refine
-	// (defaults 0.01 and 0.9).
-	LR       float64
-	Momentum float64
-	// HeadOnly restricts the shared-pilot refinement to each MLP's output
-	// layer. Per-tenant adapters are always head-only regardless.
-	HeadOnly bool
+	// LR is the SGD learning rate for Refine (default 0.01). Refine runs
+	// at momentum refineMomentum; the shared pilot refines every layer and
+	// the per-tenant adapters only the output head.
+	LR float64
 	// Seed drives minibatch sampling and shuffle seeds (default 1).
 	Seed uint64
 	// PerTenant enables per-tenant adapter pilots: each tenant keeps its own
@@ -71,6 +68,9 @@ type Config struct {
 	WindowSize int
 }
 
+// refineMomentum is the SGD momentum of every online Refine.
+const refineMomentum = 0.9
+
 // withDefaults fills unset knobs with the documented defaults.
 func (c Config) withDefaults() Config {
 	if c.MemorySize <= 0 {
@@ -87,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LR == 0 {
 		c.LR = 0.01
-	}
-	if c.Momentum == 0 {
-		c.Momentum = 0.9
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -273,7 +270,7 @@ func (l *Learner) Observe(tenant int, ex *pilot.Example, mispredicted bool) (int
 		if l.shared == nil {
 			l.shared = l.base.Clone()
 		}
-		cost, err := l.retrain(l.shared, l.mem, l.rng, l.cfg.HeadOnly)
+		cost, err := l.retrain(l.shared, l.mem, l.rng, false)
 		if err != nil {
 			return stallNS, err
 		}
@@ -313,7 +310,7 @@ func (l *Learner) retrain(p *pilot.Pilot, mem *Memory, rng *mathx.RNG, headOnly 
 		return 0, nil
 	}
 	_, err := p.Refine(batch, pilot.RefineConfig{
-		LR: l.cfg.LR, Momentum: l.cfg.Momentum, Epochs: l.cfg.Epochs,
+		LR: l.cfg.LR, Momentum: refineMomentum, Epochs: l.cfg.Epochs,
 		Seed: rng.Uint64(), HeadOnly: headOnly,
 	})
 	if err != nil {

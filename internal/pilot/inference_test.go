@@ -43,26 +43,6 @@ func inferAll(p *Pilot, exs []*Example) [][]float64 {
 	return outs
 }
 
-// checkInference requires inferNorm — the inference copies — to return, bit
-// for bit, what each MLP's row-major Forward chain returns on every
-// example's normalized features, and returns those outputs.
-func checkInference(t *testing.T, when string, p *Pilot, exs []*Example) [][]float64 {
-	t.Helper()
-	got := inferAll(p, exs)
-	fbuf := make([]float64, len(p.featMean))
-	i := 0
-	for ei, e := range exs {
-		normalize(e.Features, p.featMean, p.featStd, fbuf)
-		for b, m := range p.mlps {
-			if err := equalBits(got[i], m.Forward(fbuf)); err != nil {
-				t.Fatalf("after %s: example %d, MLP %d: inference copy vs Forward: %v", when, ei, b, err)
-			}
-			i++
-		}
-	}
-	return got
-}
-
 func equalBits(got, want []float64) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("length %d, want %d", len(got), len(want))
@@ -75,16 +55,13 @@ func equalBits(got, want []float64) error {
 	return nil
 }
 
-// TestInferenceCopyMatchesForward pins every place that rebuilds the MLPs'
-// inference copies: after Train, after each of the four Refine variants
-// (momentum 0.9 or 0, all layers or HeadOnly), after LoadWithMeta and after
-// Clone, inference on every held-out example equals the Forward chain over
-// the row-major weights bit for bit. Each Refine must move the outputs, so
-// a copy left stale cannot pass. A clone's Refine must leave the
-// original's outputs as they were, and the original's Refine its clones'.
-func TestInferenceCopyMatchesForward(t *testing.T) {
+// TestRefineMovesOutputsAndClonesStayIsolated: each of the four Refine
+// variants (momentum 0.9 or 0, all layers or HeadOnly) moves the inference
+// outputs on held-out examples, and Clone's copy-on-write sharing isolates
+// both ways: a clone's Refine leaves the original's outputs as they were,
+// and the original's Refine its clones', whichever trains first.
+func TestRefineMovesOutputsAndClonesStayIsolated(t *testing.T) {
 	p, train, held := smallPilot(t)
-	prev := checkInference(t, "Train", p, held)
 
 	refine := func(t *testing.T, p *Pilot, when string, rc RefineConfig) [][]float64 {
 		t.Helper()
@@ -92,16 +69,17 @@ func TestInferenceCopyMatchesForward(t *testing.T) {
 		if _, err := p.Refine(train[:16], rc); err != nil {
 			t.Fatal(err)
 		}
-		after := checkInference(t, when, p, held)
+		after := inferAll(p, held)
 		moved := false
 		for i := range after {
 			moved = moved || equalBits(after[i], before[i]) != nil
 		}
 		if !moved {
-			t.Fatalf("%s moved no output: the check cannot tell a stale copy", when)
+			t.Fatalf("%s moved no output", when)
 		}
 		return after
 	}
+	var prev [][]float64
 	for i, rc := range []RefineConfig{
 		{LR: 0.005, Momentum: 0.9, Epochs: 2},
 		{LR: 0.005, Momentum: 0.9, Epochs: 2, HeadOnly: true},
@@ -112,26 +90,9 @@ func TestInferenceCopyMatchesForward(t *testing.T) {
 		prev = refine(t, p, fmt.Sprintf("Refine(momentum %v, HeadOnly %v)", rc.Momentum, rc.HeadOnly), rc)
 	}
 
-	var saved bytes.Buffer
-	if err := p.Save(&saved); err != nil {
-		t.Fatal(err)
-	}
-	loaded, _, err := LoadWithMeta(&saved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, out := range checkInference(t, "LoadWithMeta", loaded, held) {
-		if err := equalBits(out, prev[i]); err != nil {
-			t.Fatalf("loaded pilot, output %d: %v", i, err)
-		}
-	}
-
-	// Clone shares the MLPs copy-on-write, so training either side must
-	// leave the other as it was, whichever trains first.
 	c := p.Clone()
-	checkInference(t, "Clone", c, held)
 	cloned := refine(t, c, "the clone's Refine", RefineConfig{LR: 0.005, Momentum: 0.9, Epochs: 2, Seed: 9})
-	for i, out := range checkInference(t, "the clone's Refine (original)", p, held) {
+	for i, out := range inferAll(p, held) {
 		if err := equalBits(out, prev[i]); err != nil {
 			t.Fatalf("the clone's Refine changed the original's output %d: %v", i, err)
 		}
@@ -143,7 +104,7 @@ func TestInferenceCopyMatchesForward(t *testing.T) {
 		q    *Pilot
 		want [][]float64
 	}{{"refined clone", c, cloned}, {"fresh clone", d, prev}} {
-		for i, out := range checkInference(t, "the original's Refine ("+k.name+")", k.q, held) {
+		for i, out := range inferAll(k.q, held) {
 			if err := equalBits(out, k.want[i]); err != nil {
 				t.Fatalf("the original's Refine changed the %s's output %d: %v", k.name, i, err)
 			}
@@ -155,7 +116,7 @@ func TestInferenceCopyMatchesForward(t *testing.T) {
 // several goroutines while the pilot itself resolves. Each clone must end
 // exactly where the same Refine of a serial clone ends, and the pilot must
 // not move. Under -race this also checks that the copy-on-write sharing
-// lets no two of them touch the same weights or inference copy.
+// lets no two of them touch the same weights.
 func TestClonesRefineConcurrently(t *testing.T) {
 	p, train, held := smallPilot(t)
 	before := inferAll(p, held)

@@ -19,7 +19,7 @@ type persistedLayer struct {
 	In  int       `json:"in"` // redundant with W size; kept for validation
 	Out int       `json:"out"`
 	Act int       `json:"act"`
-	W   []float64 `json:"w"`
+	W   []float64 `json:"w"` // Out×In row-major
 	B   []float64 `json:"b"`
 }
 
@@ -61,7 +61,7 @@ func (p *Pilot) SaveWithMeta(w io.Writer, meta map[string]string) error {
 	for i, m := range p.mlps {
 		for _, l := range m.Layers {
 			out.MLPs[i].Layers = append(out.MLPs[i].Layers, persistedLayer{
-				In: l.In, Out: l.Out, Act: int(l.Act), W: l.W, B: l.B,
+				In: l.In, Out: l.Out, Act: int(l.Act), W: l.OutByIn(), B: l.B,
 			})
 		}
 	}
@@ -91,11 +91,10 @@ func LoadWithMeta(r io.Reader) (*Pilot, map[string]string, error) {
 	for i := range in.MLPs {
 		for j, pl := range in.MLPs[i].Layers {
 			l := p.mlps[i].Layers[j]
-			copy(l.W, pl.W)
+			l.SetOutByIn(pl.W)
 			copy(l.B, pl.B)
 			l.Act = nn.Activation(pl.Act)
 		}
-		p.mlps[i].SyncInference(0)
 	}
 	p.featMean, p.featStd = in.FeatMean, in.FeatStd
 	p.labelMean, p.labelStd = in.LabelMean, in.LabelStd

@@ -98,9 +98,9 @@ type Pilot struct {
 	normLabels map[*ModelContext][]float64
 
 	// scratch pools inference buffers (*[]float64: normalized features,
-	// then the inference copy's activations), one per in-flight Predict or
-	// Resolve, so a warm call allocates only the output it returns. Clone
-	// starts a fresh pool. It is a separate object because the runtime
+	// then the MLP's activations), one per in-flight Predict or Resolve, so
+	// a warm call allocates only the output it returns. Clone starts a
+	// fresh pool. It is a separate object because the runtime
 	// keeps a used pool reachable until two GCs later: embedded, it would
 	// keep a discarded pilot's weights alive that long too.
 	scratch *sync.Pool
@@ -194,9 +194,7 @@ type TrainResult struct {
 }
 
 // Train fits the pilot on examples with per-sample SGD (the pilot trains
-// offline, §IV-D). Examples route to the MLP of their base type. At the end
-// every MLP's inference copy, which Predict and Resolve run, is synced to
-// the new weights.
+// offline, §IV-D). Examples route to the MLP of their base type.
 func (p *Pilot) Train(examples []*Example) TrainResult {
 	sw := obsv.StartTimer()
 	p.version++
@@ -231,9 +229,6 @@ func (p *Pilot) Train(examples []*Example) TrainResult {
 		lastLoss = lossSum / float64(len(examples))
 		lr *= p.Cfg.LRDecay
 	}
-	for _, m := range p.mlps {
-		m.SyncInference(0)
-	}
 	res.Epochs = p.Cfg.Epochs
 	res.FinalLoss = lastLoss
 	res.WallClock = sw.Elapsed()
@@ -251,11 +246,11 @@ func (p *Pilot) Trained() bool { return p.featMean != nil }
 func (p *Pilot) Version() uint64 { return p.version }
 
 // Clone returns a copy of the pilot: scaler copies, a fresh normalized-label
-// cache, and the MLPs with their inference copies, which the two pilots
-// share copy-on-write, so training either one leaves the other unchanged. A
-// clone starts without momentum, as a loaded pilot does. The online learner
-// refines a clone so the serving feedback loop never mutates the
-// offline-trained pilot the training engines share.
+// cache, and the MLPs, which the two pilots share copy-on-write, so
+// training either one leaves the other unchanged. A clone starts without
+// momentum, as a loaded pilot does. The online learner refines a clone so
+// the serving feedback loop never mutates the offline-trained pilot the
+// training engines share.
 func (p *Pilot) Clone() *Pilot {
 	c := &Pilot{Cfg: p.Cfg, scratch: new(sync.Pool)}
 	for i, m := range p.mlps {
@@ -274,10 +269,10 @@ func (p *Pilot) Clone() *Pilot {
 	return c
 }
 
-// own gives the pilot its own copy of MLP i, weights and inference copy,
-// if it may share that MLP with another pilot, and returns the MLP, which
-// the caller may then train. The copy takes the shared MLP's momentum
-// velocities unless the pilot borrowed it.
+// own gives the pilot its own copy of MLP i if it may share that MLP with
+// another pilot, and returns the MLP, which the caller may then train. The
+// copy takes the shared MLP's momentum velocities unless the pilot borrowed
+// it.
 func (p *Pilot) own(i int) *nn.MLP {
 	if p.shared[i].Load() {
 		m := p.mlps[i].Clone()
@@ -305,11 +300,10 @@ type RefineConfig struct {
 // feature/label standardization (and therefore the normalized-label path
 // matching space) stays exactly as Train left it, so Resolve stays consistent
 // across incremental updates. This is the online-learning training step; it
-// returns the mean pre-update loss of the final epoch. It then syncs the
-// inference copies of the layers it may have moved, in place; the first
-// Refine of a clone copies the MLPs it trains. Refine must not run
-// concurrently with Resolve — the serving loops call it serially between
-// dispatches. It fails with ErrNotTrained before Train.
+// returns the mean pre-update loss of the final epoch. The first Refine of a
+// clone copies the MLPs it trains. Refine must not run concurrently with
+// Resolve — the serving loops call it serially between dispatches. It fails
+// with ErrNotTrained before Train.
 func (p *Pilot) Refine(examples []*Example, rc RefineConfig) (float64, error) {
 	if !p.Trained() {
 		return 0, fmt.Errorf("pilot: Refine before Train: %w", ErrNotTrained)
@@ -340,13 +334,6 @@ func (p *Pilot) Refine(examples []*Example, rc RefineConfig) (float64, error) {
 		}
 		lastLoss = lossSum / float64(len(examples))
 	}
-	// Layers below from did not move, so their inference copy is current,
-	// and so is all of a shared MLP's: no step trained it.
-	for i, m := range p.mlps {
-		if !p.shared[i].Load() {
-			m.SyncInference(from)
-		}
-	}
 	return lastLoss, nil
 }
 
@@ -366,20 +353,19 @@ func (p *Pilot) Predict(base dynn.BaseType, features []float64) ([]float64, time
 	return out, sw.Elapsed(), nil
 }
 
-// inferNorm normalizes features and runs the inference copy of the base
-// type's MLP on them in pooled scratch. The returned normalized output
-// aliases *buf; the caller puts buf back into p.scratch once it is done with
-// the output.
+// inferNorm normalizes features and runs the base type's MLP on them in
+// pooled scratch. The returned normalized output aliases *buf; the caller
+// puts buf back into p.scratch once it is done with the output.
 func (p *Pilot) inferNorm(base dynn.BaseType, features []float64) ([]float64, *[]float64) {
-	inf := p.mlps[int(base)].Inference()
+	m := p.mlps[int(base)]
 	buf, ok := p.scratch.Get().(*[]float64)
 	if !ok {
-		s := make([]float64, inf.InputSize()+inf.ScratchLen())
+		s := make([]float64, m.InputSize()+m.ScratchLen())
 		buf = &s
 	}
 	fbuf := (*buf)[:len(features)]
 	normalize(features, p.featMean, p.featStd, fbuf)
-	return inf.Run(fbuf, (*buf)[inf.InputSize():]), buf
+	return m.Run(fbuf, (*buf)[m.InputSize():]), buf
 }
 
 // Resolution is the result of one pilot inference plus output→path mapping.
