@@ -2,23 +2,11 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"dynnoffload/internal/faults"
 	"dynnoffload/internal/obsv"
 )
-
-// detFields projects the deterministic fields of a SampleResult — Breakdown
-// minus the wall-measured pilot/mapping overheads, plus the outcome flags and
-// fault counters.
-func detFields(r SampleResult) string {
-	return fmt.Sprintf("%s mis=%t hit=%t retries=%d backoff=%d od=%d evict=%d sync=%d",
-		simFields(r.Breakdown), r.Mispredicted, r.CacheHit,
-		r.FaultCounters.Retries, r.FaultCounters.BackoffNS,
-		r.FaultCounters.OnDemandFallbacks, r.FaultCounters.EvictRetries,
-		r.FaultCounters.SyncFallbacks)
-}
 
 // TestRunBatchMatchesEpoch: folding RunBatch's per-sample results must
 // reproduce serial RunEpoch's aggregates — same pipeline, different return
@@ -51,8 +39,8 @@ func TestRunBatchMatchesEpoch(t *testing.T) {
 			got.Samples, got.Mispredictions, got.CacheHits,
 			want.Samples, want.Mispredictions, want.CacheHits)
 	}
-	if g, w := simFields(got.Breakdown), simFields(want.Breakdown); g != w {
-		t.Errorf("breakdown diverges:\ngot  %s\nwant %s", g, w)
+	if got.Breakdown != want.Breakdown {
+		t.Errorf("breakdown diverges:\ngot  %+v\nwant %+v", got.Breakdown, want.Breakdown)
 	}
 	if eng.CacheSize() != serial.CacheSize() {
 		t.Errorf("cache size %d, serial %d", eng.CacheSize(), serial.CacheSize())
@@ -66,7 +54,7 @@ func TestRunBatchWorkerInvariance(t *testing.T) {
 	batch := test[:40]
 
 	for _, fc := range []faults.Config{{}, {Seed: 11, Rate: 0.3}} {
-		run := func(workers int) []string {
+		run := func(workers int) []SampleResult {
 			cfg := DefaultConfig(plat)
 			if fc.Rate > 0 {
 				cfg.Faults = faults.New(fc)
@@ -76,18 +64,14 @@ func TestRunBatchWorkerInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
-			out := make([]string, len(results))
-			for i, r := range results {
-				out[i] = detFields(r)
-			}
-			return out
+			return stripWallResults(results)
 		}
 		want := run(1)
 		for _, workers := range []int{2, 4, 8} {
 			got := run(workers)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Errorf("rate=%v workers=%d sample %d:\ngot  %s\nwant %s",
+					t.Errorf("rate=%v workers=%d sample %d:\ngot  %+v\nwant %+v",
 						fc.Rate, workers, i, got[i], want[i])
 				}
 			}

@@ -74,12 +74,7 @@ func TestEpochDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// OverheadNS contains measured wall-clock pilot latency (intentionally
-	// real time); everything simulated must be identical.
-	simA := ra.Breakdown.TotalNS() - ra.Breakdown.OverheadNS
-	simB := rb.Breakdown.TotalNS() - rb.Breakdown.OverheadNS
-	if simA != simB || ra.Mispredictions != rb.Mispredictions ||
-		ra.Breakdown.H2DBytes != rb.Breakdown.H2DBytes {
+	if ra.Breakdown != rb.Breakdown || ra.Mispredictions != rb.Mispredictions {
 		t.Errorf("nondeterministic epochs: %v vs %v", ra.Breakdown, rb.Breakdown)
 	}
 }

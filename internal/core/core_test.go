@@ -60,8 +60,10 @@ func TestEngineRunSample(t *testing.T) {
 	if res.PilotNS <= 0 || res.MappingNS < 0 {
 		t.Error("missing overhead measurements")
 	}
-	if res.Breakdown.OverheadNS < res.PilotNS {
-		t.Error("overhead must include pilot inference")
+	// The pilot's stopwatches stay beside the Breakdown: the engine models no
+	// policy overhead of its own, so nothing wall-clock reaches the total.
+	if res.Breakdown.OverheadNS != 0 {
+		t.Errorf("OverheadNS = %d, want 0 (pilot wall time is reported in PilotNS)", res.Breakdown.OverheadNS)
 	}
 }
 

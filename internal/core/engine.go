@@ -140,6 +140,8 @@ func NewEngine(cfg Config, p *pilot.Pilot) *Engine {
 }
 
 // SampleResult reports one simulated training iteration of one sample.
+// Breakdown is simulated time; PilotNS and MappingNS are the host wall time
+// of the sample's pilot inference and output mapping.
 type SampleResult struct {
 	Breakdown    gpusim.Breakdown
 	Mispredicted bool
@@ -276,8 +278,9 @@ func (e *Engine) simulate(d decision, fs *faults.Stream, st *obsv.SampleTrace) (
 // runStep is the per-sample step every execution path (RunSample, RunBatch,
 // ParallelRunEpoch) ends in: trace the sample's pilot instants and outcome,
 // simulate the decided sample under its fault stream, and fold the
-// recovery counters and host overhead into its result. st and rec may be
-// nil; idx is the sample's index as the recorder reports it. Safe to run
+// recovery counters into its result. The pilot and mapping stopwatches stay
+// in PilotNS/MappingNS: Breakdown holds simulated time only. st and rec may
+// be nil; idx is the sample's index as the recorder reports it. Safe to run
 // concurrently for distinct samples.
 func (e *Engine) runStep(ex *pilot.Example, r *pilot.Resolution, d decision,
 	st *obsv.SampleTrace, rec *obsv.Recorder, idx int) (SampleResult, error) {
@@ -303,7 +306,6 @@ func (e *Engine) runStep(ex *pilot.Example, r *pilot.Resolution, d decision,
 		return res, err
 	}
 	res.FaultCounters = fs.Counters()
-	res.Breakdown.OverheadNS += res.PilotNS + res.MappingNS
 	if rec != nil {
 		rec.ObservePhase(PhaseSimulate, simSW.ElapsedNS())
 		rec.ObserveSample(idx, res.Mispredicted, res.CacheHit, res.Breakdown.TotalNS())

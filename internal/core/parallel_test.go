@@ -8,18 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"dynnoffload/internal/gpusim"
 	"dynnoffload/internal/obsv"
 )
-
-// simFields projects out every deterministic (virtual-time) field of a
-// breakdown; OverheadNS is excluded because it folds in wall-clock-measured
-// pilot latency.
-func simFields(b gpusim.Breakdown) string {
-	return fmt.Sprintf("compute=%d exposed=%d overlap=%d remat=%d fault=%d h2d=%d d2h=%d faults=%d peak=%d",
-		b.ComputeNS, b.ExposedXferNS, b.OverlapXferNS, b.RematNS, b.FaultNS,
-		b.H2DBytes, b.D2HBytes, b.Faults, b.PeakGPUBytes)
-}
 
 // TestParallelEpochDeterminism: ParallelRunEpoch must produce the same epoch
 // aggregates as serial RunEpoch at any worker count — the sharded cache's
@@ -46,8 +36,8 @@ func TestParallelEpochDeterminism(t *testing.T) {
 				workers, got.Samples, got.Mispredictions, got.CacheHits,
 				want.Samples, want.Mispredictions, want.CacheHits)
 		}
-		if g, w := simFields(got.Breakdown), simFields(want.Breakdown); g != w {
-			t.Errorf("workers=%d: breakdown diverges:\ngot  %s\nwant %s", workers, g, w)
+		if got.Breakdown != want.Breakdown {
+			t.Errorf("workers=%d: breakdown diverges:\ngot  %+v\nwant %+v", workers, got.Breakdown, want.Breakdown)
 		}
 		if eng.CacheSize() != serial.CacheSize() {
 			t.Errorf("workers=%d: cache size %d, serial %d", workers, eng.CacheSize(), serial.CacheSize())
@@ -79,6 +69,48 @@ func TestParallelEpochRecorder(t *testing.T) {
 	}
 	if stats.SamplesPerSec <= 0 {
 		t.Error("no throughput derived")
+	}
+}
+
+// sampleDurs is a Sink that keeps each sample event's dur_ns by sample index.
+type sampleDurs struct {
+	mu   sync.Mutex
+	durs map[int]int64
+}
+
+func (s *sampleDurs) Emit(ev obsv.Event) {
+	if ev.Type != obsv.EventSample {
+		return
+	}
+	s.mu.Lock()
+	s.durs[ev.Sample] = ev.DurNS
+	s.mu.Unlock()
+}
+
+// TestParallelEpochSampleEventsReplay: a sample event's dur_ns is the
+// sample's simulated time, so a recorded run replays it exactly at any
+// worker count — no host stopwatch reaches it.
+func TestParallelEpochSampleEventsReplay(t *testing.T) {
+	_, test, p, plat := testBench(t)
+	run := func(workers int) map[int]int64 {
+		sink := &sampleDurs{durs: map[int]int64{}}
+		rec := obsv.NewRecorder("replay", workers, sink)
+		eng := NewEngine(DefaultConfig(plat), p)
+		if _, err := eng.ParallelRunEpoch(test, EpochOptions{Workers: workers, Recorder: rec}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		rec.Finish()
+		if len(sink.durs) != len(test) {
+			t.Fatalf("workers=%d: %d sample events, want %d", workers, len(sink.durs), len(test))
+		}
+		return sink.durs
+	}
+	want := run(1)
+	got := run(4)
+	for i := range test {
+		if got[i] != want[i] || want[i] <= 0 {
+			t.Errorf("sample %d: dur_ns %d at 4 workers, %d at 1", i, got[i], want[i])
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func planSchedule(t *testing.T, b *propBench, fc faults.Config, workers int, noC
 	if err != nil {
 		t.Fatalf("%s: %+v workers=%d noCache=%v: %v", b.name, fc, workers, noCache, err)
 	}
-	rep.PilotNS, rep.MappingNS, rep.Breakdown.OverheadNS = 0, 0, 0
+	rep.PilotNS, rep.MappingNS = 0, 0
 	return rep, tracer.Spans()
 }
 

@@ -18,7 +18,6 @@ import (
 func stripWall(rep *EpochReport) {
 	clear := func(er *core.EpochReport) {
 		er.PilotNS, er.MappingNS = 0, 0
-		er.Breakdown.OverheadNS = 0
 	}
 	clear(&rep.Report)
 	for i := range rep.PerGPU {

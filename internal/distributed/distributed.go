@@ -164,11 +164,7 @@ func (c *Cluster) TrainEpoch(examples []*pilot.Example) (*EpochReport, error) {
 			r := results[0]
 			rep.Report.Add(r)
 			rep.PerGPU[k].Add(r)
-			// Only simulated device time advances the shared clock;
-			// Breakdown.OverheadNS is host wall time (pilot inference, output
-			// mapping) and would break replayability.
-			device := r.Breakdown.TotalNS() - r.Breakdown.OverheadNS
-			rdy := clock[k] + device
+			rdy := clock[k] + r.Breakdown.TotalNS()
 			// Book the sample's offload traffic on the node's shared host
 			// link. Its lane time fits inside the device window, so the only
 			// feedback is genuine contention: if another GPU's traffic (or a

@@ -35,10 +35,7 @@ func FaultSweep(wb *Workbench) (*Table, error) {
 		if err != nil {
 			return 0, faults.Counters{}, err
 		}
-		// Virtual epoch time without OverheadNS: pilot inference is measured
-		// in host wall-clock and would add noise to a deterministic sweep.
-		bd := rep.Breakdown
-		return bd.ComputeNS + bd.ExposedXferNS + bd.RematNS + bd.FaultNS, rep.FaultCounters, nil
+		return rep.Breakdown.TotalNS(), rep.FaultCounters, nil
 	}
 
 	t := &Table{

@@ -97,5 +97,7 @@ func Fig8(wb *Workbench) *Table {
 			})
 		}
 	}
+	t.Notes = append(t.Notes,
+		"overhead is simulated policy cost (DTR interception); dynn-offload models none, and its measured host share (pilot inference + mapping) is in §VI-C")
 	return t
 }

@@ -106,8 +106,7 @@ func (wb *Workbench) sweepModel(mb *ModelBench) (serveSweepRow, error) {
 
 // serveCalibrate measures the mean and worst-case simulated on-demand
 // iteration over the serving pool, and whether serving this model migrates at
-// all. Host overhead (pilot inference, mapping) is excluded: the sweep's
-// clock is virtual, so calibration must be too.
+// all.
 func (wb *Workbench) serveCalibrate(mb *ModelBench, pool []*pilot.Example) (meanNS, worstNS, xferBytes int64, err error) {
 	if len(pool) == 0 {
 		return 0, 0, 0, fmt.Errorf("expt: %s has no test samples to calibrate on", mb.Entry.Name)
@@ -119,7 +118,7 @@ func (wb *Workbench) serveCalibrate(mb *ModelBench, pool []*pilot.Example) (mean
 	}
 	var sum int64
 	for _, r := range results {
-		t := r.Breakdown.TotalNS() - r.Breakdown.OverheadNS
+		t := r.Breakdown.TotalNS()
 		sum += t
 		if t > worstNS {
 			worstNS = t

@@ -5,7 +5,10 @@ import "fmt"
 // Breakdown decomposes a simulated training run's time the way Fig 8 does:
 // computation, exposed (stalling) migration, rematerialization, fault
 // handling, and policy overhead. Overlapped migration is tracked for
-// reporting but does not add to total time.
+// reporting but does not add to total time. Every time field is simulated
+// nanoseconds: OverheadNS is the modeled cost of a policy's own bookkeeping
+// (DTR's interception, ZeRO's CPU optimizer), never a host stopwatch — the
+// engine reports its pilot's wall time beside the Breakdown, not in it.
 type Breakdown struct {
 	ComputeNS     int64
 	ExposedXferNS int64
@@ -21,16 +24,15 @@ type Breakdown struct {
 	PeakGPUBytes int64
 }
 
-// TotalNS is the wall-clock (virtual) duration.
+// TotalNS is the simulated total: every component that adds to the run's
+// duration on the virtual clock.
 func (b Breakdown) TotalNS() int64 {
-	//dynnlint:ignore clockunits TotalNS is the documented sim+wall total; callers on the virtual clock must subtract OverheadNS
 	return b.ComputeNS + b.ExposedXferNS + b.RematNS + b.FaultNS + b.OverheadNS
 }
 
-// DeviceNS is the simulated device-clock duration: the total minus host-side
-// policy overhead. This is the portion of a sample's cost that advances the
-// virtual clock in the serving and cluster runtimes, and the base the SLO
-// attribution decomposes (compute + exposed + remat + fault).
+// DeviceNS is the simulated device time: the total minus the modeled policy
+// overhead (compute + exposed + remat + fault), the base the SLO attribution
+// decomposes. For an engine result, whose OverheadNS is 0, it equals TotalNS.
 func (b Breakdown) DeviceNS() int64 {
 	return b.ComputeNS + b.ExposedXferNS + b.RematNS + b.FaultNS
 }

@@ -9,11 +9,12 @@ import (
 
 // Clockunits is a lightweight units-of-measure pass for the deterministic
 // packages: int64s are tagged as simulated nanoseconds (Streams busy-until
-// times, DES event times), wall-clock nanoseconds (Stopwatch reads,
-// Breakdown.OverheadNS), or bytes, and additive arithmetic or comparisons
-// that mix dimensions are flagged. A wall-clock value leaking into
-// simulated-time arithmetic is the bug class behind "latency is simulated
-// device time only" — it corrupts replays silently instead of crashing.
+// times, DES event times, every Breakdown time), wall-clock nanoseconds
+// (Stopwatch reads, the pilot's inference and mapping latencies), or bytes,
+// and additive arithmetic or comparisons that mix dimensions are flagged.
+// A wall-clock value leaking into simulated-time arithmetic is the bug
+// class behind "latency is simulated device time only" — it corrupts
+// replays silently instead of crashing.
 //
 // The tagging is deliberately conservative: *NS names are a generic
 // nanosecond flavor compatible with both clocks, multiplication/division
@@ -57,7 +58,7 @@ var methodUnits = map[string]map[string]map[string]unit{
 			"Try": unitSimNS, "TrySpan": unitSimNS, "Busy": unitSimNS,
 			"RunCompute": unitSimNS, "RunH2D": unitSimNS, "RunD2H": unitSimNS,
 		},
-		"Breakdown": {"DeviceNS": unitSimNS},
+		"Breakdown": {"TotalNS": unitSimNS, "DeviceNS": unitSimNS},
 	},
 	obsvPath: {
 		"Stopwatch":             {"ElapsedNS": unitWallNS},
@@ -68,12 +69,18 @@ var methodUnits = map[string]map[string]map[string]unit{
 // fieldUnits tags known struct fields: pkg → type → field → unit. Fields not
 // listed fall back to the name-suffix heuristic.
 var fieldUnits = map[string]map[string]map[string]unit{
+	corePath: {
+		"SampleResult": {"PilotNS": unitWallNS, "MappingNS": unitWallNS},
+		"EpochReport":  {"PilotNS": unitWallNS, "MappingNS": unitWallNS},
+	},
+	pilotPath: {
+		"Resolution": {"InferNS": unitWallNS, "MapNS": unitWallNS},
+	},
 	gpusimPath: {
 		"Breakdown": {
 			"ComputeNS": unitSimNS, "ExposedXferNS": unitSimNS, "OverlapXferNS": unitSimNS,
-			"RematNS": unitSimNS, "FaultNS": unitSimNS,
-			"OverheadNS": unitWallNS,
-			"H2DBytes":   unitBytes, "D2HBytes": unitBytes, "PeakGPUBytes": unitBytes,
+			"RematNS": unitSimNS, "FaultNS": unitSimNS, "OverheadNS": unitSimNS,
+			"H2DBytes": unitBytes, "D2HBytes": unitBytes, "PeakGPUBytes": unitBytes,
 		},
 		"Streams": {"Compute": unitSimNS, "H2D": unitSimNS, "D2H": unitSimNS},
 	},

@@ -4,18 +4,21 @@
 package fixture
 
 import (
+	"dynnoffload/internal/core"
 	"dynnoffload/internal/gpusim"
 	"dynnoffload/internal/obsv"
+	"dynnoffload/internal/pilot"
 )
 
-// DeviceTime sums the simulated components only.
+// DeviceTime sums the simulated components only; the modeled policy overhead
+// is one of them.
 func DeviceTime(b gpusim.Breakdown) int64 {
-	return b.ComputeNS + b.ExposedXferNS + b.RematNS + b.FaultNS
+	return b.ComputeNS + b.ExposedXferNS + b.RematNS + b.FaultNS + b.OverheadNS
 }
 
 // HostTime sums the wall-clock components only.
-func HostTime(b gpusim.Breakdown, sw obsv.Stopwatch) int64 {
-	return b.OverheadNS + sw.ElapsedNS()
+func HostTime(r core.SampleResult, res pilot.Resolution, sw obsv.Stopwatch) int64 {
+	return r.PilotNS + r.MappingNS + res.InferNS + res.MapNS + sw.ElapsedNS()
 }
 
 // BytesPerSecond changes dimension through division, which is sanctioned.
@@ -24,6 +27,11 @@ func BytesPerSecond(b gpusim.Breakdown) int64 {
 		return 0
 	}
 	return b.H2DBytes * 1000000000 / b.ComputeNS
+}
+
+// HostShare compares the two clocks only through a ratio, which is sanctioned.
+func HostShare(rep core.EpochReport) float64 {
+	return float64(rep.PilotNS+rep.MappingNS) / float64(rep.Breakdown.TotalNS())
 }
 
 // Horizon keeps simulated stream times with simulated stream times.

@@ -4,8 +4,10 @@
 package fixture
 
 import (
+	"dynnoffload/internal/core"
 	"dynnoffload/internal/gpusim"
 	"dynnoffload/internal/obsv"
+	"dynnoffload/internal/pilot"
 )
 
 // DeviceBudget compares the simulated busy horizon against a host stopwatch:
@@ -16,10 +18,10 @@ func DeviceBudget(s *gpusim.Streams, sw obsv.Stopwatch, ready, dur int64) bool {
 	return busy < host
 }
 
-// GrandTotal adds the wall-clock overhead into a simulated sum.
-func GrandTotal(b gpusim.Breakdown) int64 {
-	device := b.ComputeNS + b.ExposedXferNS
-	return device + b.OverheadNS
+// GrandTotal adds the pilot's wall-clock latency into a simulated sum.
+func GrandTotal(r core.SampleResult) int64 {
+	device := r.Breakdown.ComputeNS + r.Breakdown.ExposedXferNS
+	return device + r.PilotNS
 }
 
 // BytesVsTime compares traffic against device time.
@@ -27,10 +29,16 @@ func BytesVsTime(b gpusim.Breakdown) bool {
 	return b.H2DBytes > b.ComputeNS
 }
 
-// Accumulate folds the wall overhead into a simulated accumulator.
-func Accumulate(b gpusim.Breakdown) int64 {
+// Accumulate folds the mapping latency into a simulated accumulator.
+func Accumulate(b gpusim.Breakdown, res pilot.Resolution) int64 {
 	var busy int64
 	busy = b.ComputeNS
-	busy += b.OverheadNS
+	busy += res.MapNS
 	return busy
+}
+
+// FoldPilot charges the pilot's host stopwatches to the simulated overhead.
+func FoldPilot(res core.SampleResult) core.SampleResult {
+	res.Breakdown.OverheadNS += res.PilotNS + res.MappingNS
+	return res
 }

@@ -30,8 +30,10 @@ func rootIdent(e ast.Expr) *ast.Ident {
 }
 
 const (
+	corePath   = "dynnoffload/internal/core"
 	gpusimPath = "dynnoffload/internal/gpusim"
 	obsvPath   = "dynnoffload/internal/obsv"
+	pilotPath  = "dynnoffload/internal/pilot"
 )
 
 // namedOf unwraps pointers to the named type underneath, if any.

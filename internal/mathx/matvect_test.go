@@ -44,13 +44,40 @@ func kernelInputs(rng *RNG, rows, cols int) (a, x []float64) {
 	return a, x
 }
 
+// matVec computes out = A·x where A is rows×cols row-major: out[r] is the
+// plain dot product of row r with x, summed left to right from +0. Over the
+// transpose of a matrix it is the oracle both MatVecT bodies must match.
+func matVec(a []float64, rows, cols int, x, out []float64) {
+	for r := 0; r < rows; r++ {
+		row := a[r*cols : (r+1)*cols]
+		var s float64
+		for c, xv := range x {
+			s += row[c] * xv
+		}
+		out[r] = s
+	}
+}
+
+func TestMatVec(t *testing.T) {
+	// A = [[1,2],[3,4],[5,6]] (3x2), x = [1,1]
+	a := []float64{1, 2, 3, 4, 5, 6}
+	out := make([]float64, 3)
+	matVec(a, 3, 2, []float64{1, 1}, out)
+	want := []float64{3, 7, 11}
+	for i := range want {
+		if out[i] != want[i] {
+			t.Errorf("matVec[%d] = %v, want %v", i, out[i], want[i])
+		}
+	}
+}
+
 type kernelBody struct {
 	name string
 	fn   func(a []float64, rows, cols int, x, out []float64)
 }
 
 // checkMatVecT runs both MatVecT bodies on (a, x), the AVX one only where
-// the CPU has AVX, and requires each to equal, bit for bit, MatVec over the
+// the CPU has AVX, and requires each to equal, bit for bit, matVec over the
 // transpose of a — the exactness contract pilot inference relies on. The
 // outputs start as NaN so a body that skips a store shows.
 func checkMatVecT(t *testing.T, rows, cols int, a, x []float64) {
@@ -62,7 +89,7 @@ func checkMatVecT(t *testing.T, rows, cols int, a, x []float64) {
 		}
 	}
 	want := make([]float64, cols)
-	MatVec(at, cols, rows, x, want)
+	matVec(at, cols, rows, x, want)
 	bodies := []kernelBody{{"go", matVecTGo}}
 	if haveAVX {
 		bodies = append(bodies, kernelBody{"avx", matVecTAVX})
@@ -75,7 +102,7 @@ func checkMatVecT(t *testing.T, rows, cols int, a, x []float64) {
 		b.fn(a, rows, cols, x, got)
 		for c := range want {
 			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
-				t.Fatalf("%s body, %d×%d: out[%d] = %v (%#x), MatVec over the transpose %v (%#x)",
+				t.Fatalf("%s body, %d×%d: out[%d] = %v (%#x), matVec over the transpose %v (%#x)",
 					b.name, rows, cols, c, got[c], math.Float64bits(got[c]), want[c], math.Float64bits(want[c]))
 			}
 		}
@@ -155,9 +182,8 @@ func fillFinite(out []float64, src []byte) {
 }
 
 // BenchmarkPilotLayers runs the pilot's three forward layers at 128
-// neurons (107→128→128→100) as MatVec over row-major weights and as MatVecT
-// over their transposes, the two forms that give the same bits. The inputs
-// are normal numbers: subnormal operands slow both kernels down manyfold.
+// neurons (107→128→128→100) through MatVecT over In×Out weights. The inputs
+// are normal numbers: subnormal operands slow the kernel down manyfold.
 func BenchmarkPilotLayers(b *testing.B) {
 	rng := NewRNG(7)
 	shapes := [][2]int{{107, 128}, {128, 128}, {128, 100}} // {in, out}
@@ -168,18 +194,9 @@ func BenchmarkPilotLayers(b *testing.B) {
 		rng.NormVec(xs[i], 1)
 		outs[i] = make([]float64, sz[1])
 	}
-	b.Run("matvec", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for l, sz := range shapes {
-				MatVec(ws[l], sz[1], sz[0], xs[l], outs[l])
-			}
+	for i := 0; i < b.N; i++ {
+		for l, sz := range shapes {
+			MatVecT(ws[l], sz[0], sz[1], xs[l], outs[l])
 		}
-	})
-	b.Run("matvect", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for l, sz := range shapes {
-				MatVecT(ws[l], sz[0], sz[1], xs[l], outs[l])
-			}
-		}
-	})
+	}
 }

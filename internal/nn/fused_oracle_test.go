@@ -11,8 +11,8 @@ import (
 // oracleTrainStepFrom is TrainStepFrom as it was before the fused step,
 // kept as the test oracle for Layer.step: backpropagation first (MatVecT
 // and the derivative, layer by layer down to from), then, layer by layer
-// from the bottom up, Scale of the velocities, OuterAxpy and Axpy of the
-// gradient into them, and Axpy of the velocities into the weights. That
+// from the bottom up, Scale of the velocities, outerAxpy and axpy of the
+// gradient into them, and axpy of the velocities into the weights. That
 // arithmetic runs on Out×In row-major copies of the weights and velocities,
 // the layout it was written for, which it writes back In×Out at the end.
 func oracleTrainStepFrom(m *MLP, in, target []float64, lr, momentum float64, from int) float64 {
@@ -58,13 +58,13 @@ func oracleTrainStepFrom(m *MLP, in, target []float64, lr, momentum float64, fro
 			}
 			mathx.Scale(momentum, l.vW)
 			mathx.Scale(momentum, l.vB)
-			mathx.OuterAxpy(-lr, m.deltas[li], in, l.vW)
-			mathx.Axpy(-lr, m.deltas[li], l.vB)
-			mathx.Axpy(1, l.vW, l.W)
-			mathx.Axpy(1, l.vB, l.B)
+			outerAxpy(-lr, m.deltas[li], in, l.vW)
+			axpy(-lr, m.deltas[li], l.vB)
+			axpy(1, l.vW, l.W)
+			axpy(1, l.vB, l.B)
 		} else {
-			mathx.OuterAxpy(-lr, m.deltas[li], in, l.W)
-			mathx.Axpy(-lr, m.deltas[li], l.B)
+			outerAxpy(-lr, m.deltas[li], in, l.W)
+			axpy(-lr, m.deltas[li], l.B)
 		}
 	}
 	for li, l := range m.Layers {
@@ -75,6 +75,52 @@ func oracleTrainStepFrom(m *MLP, in, target []float64, lr, momentum float64, fro
 		}
 	}
 	return loss
+}
+
+// axpy computes y += alpha*x in place.
+func axpy(alpha float64, x, y []float64) {
+	for i, v := range x {
+		y[i] += alpha * v
+	}
+}
+
+// outerAxpy computes A += alpha * x·yᵀ where A is len(x)×len(y) row-major,
+// skipping the rows whose x is 0.
+func outerAxpy(alpha float64, x, y, a []float64) {
+	cols := len(y)
+	for r, xv := range x {
+		if xv == 0 {
+			continue
+		}
+		row := a[r*cols : (r+1)*cols]
+		f := alpha * xv
+		for c, yv := range y {
+			row[c] += f * yv
+		}
+	}
+}
+
+func TestAxpyScale(t *testing.T) {
+	y := []float64{1, 1}
+	axpy(2, []float64{3, 4}, y)
+	if y[0] != 7 || y[1] != 9 {
+		t.Errorf("axpy gave %v", y)
+	}
+	mathx.Scale(0.5, y)
+	if y[0] != 3.5 || y[1] != 4.5 {
+		t.Errorf("Scale gave %v", y)
+	}
+}
+
+func TestOuterAxpy(t *testing.T) {
+	a := make([]float64, 4)
+	outerAxpy(2, []float64{1, 2}, []float64{3, 4}, a)
+	want := []float64{6, 8, 12, 16}
+	for i := range want {
+		if a[i] != want[i] {
+			t.Errorf("outerAxpy[%d] = %v, want %v", i, a[i], want[i])
+		}
+	}
 }
 
 // sameBits reports the first element where two slices differ bit for bit.

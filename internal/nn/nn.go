@@ -308,13 +308,14 @@ func (m *MLP) TrainStepFrom(in, target []float64, lr, momentum float64, from int
 // backpropagated deltas W·delta (before the activation derivative), taken
 // from the weights as they were before this step. Element for element it
 // performs, in the same order, the operations of separate passes of
-// MatVecT into below, Scale(mo) of the velocities, OuterAxpy and Axpy of
-// -lr·delta·x into them (or, without momentum, into W and B), and Axpy of
-// the velocities into W and B, so the result is bit-identical to them:
+// MatVecT into below, Scale(mo) of the velocities, an outer-product axpy
+// and an axpy of -lr·delta·x into them (or, without momentum, into W and
+// B), and an axpy of the velocities into W and B, so the result is
+// bit-identical to them (fused_oracle_test.go keeps those passes):
 //
 //   - below[c] sums w·delta[r] over r in order from +0, and an output whose
 //     delta is exactly 0 adds nothing to it and leaves v·mo (without
-//     momentum, w) as it is, as MatVecT and OuterAxpy skip it;
+//     momentum, w) as it is, as MatVecT and the outer-product pass skip it;
 //   - v·mo is rounded on its own (the float64 conversion), so no platform
 //     fuses it with the following add into one multiply-add.
 //

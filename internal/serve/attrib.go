@@ -18,9 +18,10 @@ import (
 // both it and quotaNS are measured inside the wait by construction, and both
 // are clamped so the queue component can never go negative even if that
 // invariant drifts (quota-blocked and retrain-stalled stretches can overlap).
-// PilotNS stays zero: the runtime keeps pilot inference and output mapping in
-// host wall time (Breakdown.OverheadNS), off the virtual clock, so charging it
-// here would leak scheduling noise into the deterministic decomposition.
+// PilotNS stays zero: pilot inference and output mapping are measured in host
+// wall time (SampleResult.PilotNS/MappingNS), off the virtual clock, so
+// charging them here would leak scheduling noise into the deterministic
+// decomposition.
 // AllReduceNS stays zero too — served requests do not synchronize gradients.
 func attribution(waitNS, quotaNS, retrainNS, serviceNS int64, res core.SampleResult) obsv.AttributionComponents {
 	bd := res.Breakdown

@@ -214,15 +214,11 @@ func selectBatch(queued []*request, now, starveAge int64, maxBatch int, capBytes
 // kernel fusion saves across the batch (SimulateDynamicBatch's sequential
 // minus batched launch time), floored by the slowest member — fusing can
 // never beat the longest critical path — and by 1ns.
-//
-// Only simulated time counts: Breakdown.OverheadNS is host wall time (pilot
-// inference and output mapping), so including it would leak scheduling noise
-// into the virtual clock and break the replay contract.
 func serviceTime(eng *core.Engine, batch []*request, results []core.SampleResult) int64 {
 	var sum, slowest int64
 	infos := make([]*pilot.PathInfo, 0, len(batch))
 	for i, r := range batch {
-		t := results[i].Breakdown.TotalNS() - results[i].Breakdown.OverheadNS
+		t := results[i].Breakdown.TotalNS()
 		sum += t
 		if t > slowest {
 			slowest = t
