@@ -24,9 +24,9 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Project-specific static analysis (internal/lint): determinism, lock
-# copies, float equality, error discipline, and library panics. Fails on any
-# unsuppressed finding.
+# Project-specific static analysis (internal/lint): determinism, float
+# equality, error discipline, library panics, and clock units. Fails on any
+# unsuppressed finding. Lock copies are go vet's copylocks check (vet).
 lint:
 	$(GO) run ./cmd/dynnlint ./...
 
@@ -61,8 +61,8 @@ perfbench-test:
 # signatures), FuzzNearestPath (the pilot's nearest-path scan against a naive
 # scan), FuzzMemPool (the GPU residency pool against a map-backed model),
 # FuzzParseSpec (the fault-spec parser: no panic; accepted specs round-trip),
-# FuzzLoad (pilot.LoadWithMeta: no panic; an accepted file re-saves to
-# identical bytes), FuzzParseTenants (the dynnserve tenant DSL: no panic;
+# FuzzLoad (the pilot file reader, test-only: no panic; an accepted file
+# re-saves to identical bytes), FuzzParseTenants (the dynnserve tenant DSL: no panic;
 # every accepted tenant is within bounds), FuzzReadChromeTrace (the
 # Chrome-trace reader and the analyses on what it loads: no panic; loaded
 # spans write and read back equal; any span set the writer accepts reads

@@ -1,7 +1,8 @@
 // Command dynnlint runs the project's static-analysis suite (internal/lint)
-// over module packages: the five AST passes (determinism, lockcheck,
-// floatcmp, errdiscipline, panicfree) plus the units-of-measure dataflow
-// pass (clockunits). It is pure stdlib — no analysis frameworks, no network.
+// over module packages: the four AST passes (determinism, floatcmp,
+// errdiscipline, panicfree) plus the units-of-measure dataflow pass
+// (clockunits). Lock copies are go vet's copylocks check. It is pure
+// stdlib — no analysis frameworks, no network.
 //
 // The driver is incremental and parallel: per-package results cache under
 // <module>/.dynnlint keyed by the content hash of the package, its transitive

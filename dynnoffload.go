@@ -218,7 +218,7 @@ func newSystem(cfg SystemConfig) (*System, error) {
 		cfg.Platform = RTXPlatform()
 	}
 	if cfg.PressureFraction > 0 {
-		plat, err := pressurePlatform(cfg.Model, cfg.Platform, cfg.PressureFraction)
+		plat, err := pilot.PressurePlatform(cfg.Model, cfg.Platform, cfg.PressureFraction)
 		if err != nil {
 			return nil, err
 		}
@@ -230,33 +230,6 @@ func newSystem(cfg SystemConfig) (*System, error) {
 		return nil, err
 	}
 	return &System{cfg: cfg, ctx: ctx, plans: core.NewPlanCache()}, nil
-}
-
-// pressurePlatform analyzes the model's paths at full memory (no
-// partitioning or labelling: only their footprints are read) and shrinks the
-// GPU to fraction of the largest footprint, floored at the double-buffer
-// minimum (9/4 of the largest single operator); host memory scales to hold
-// the offloaded remainder.
-func pressurePlatform(m dynn.Model, plat gpusim.Platform, fraction float64) (gpusim.Platform, error) {
-	paths, err := pilot.AnalyzePaths(m, gpusim.NewCostModel(plat))
-	if err != nil {
-		return plat, err
-	}
-	var maxPeak, maxOp int64
-	for _, info := range paths {
-		maxPeak = max(maxPeak, info.Analysis.PeakResidentBytes())
-		maxOp = max(maxOp, info.Analysis.MaxSingleOpBytes())
-	}
-	budget := int64(fraction * float64(maxPeak))
-	if floor := 9 * maxOp / 4; budget < floor {
-		budget = floor
-	}
-	if budget < 1<<20 {
-		budget = 1 << 20
-	}
-	p := plat.WithMemory(budget)
-	p.CPUMemBytes = 8 * maxPeak
-	return p, nil
 }
 
 // Platform reports the resolved hardware platform the system simulates

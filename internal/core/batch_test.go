@@ -42,8 +42,8 @@ func TestRunBatchMatchesEpoch(t *testing.T) {
 	if got.Breakdown != want.Breakdown {
 		t.Errorf("breakdown diverges:\ngot  %+v\nwant %+v", got.Breakdown, want.Breakdown)
 	}
-	if eng.CacheSize() != serial.CacheSize() {
-		t.Errorf("cache size %d, serial %d", eng.CacheSize(), serial.CacheSize())
+	if eng.CacheStats().Entries != serial.CacheStats().Entries {
+		t.Errorf("cache size %d, serial %d", eng.CacheStats().Entries, serial.CacheStats().Entries)
 	}
 }
 

@@ -83,20 +83,8 @@ func (c *shardedCache) Len() int {
 	return n
 }
 
-// Reset clears entries and counters (between experiments).
-func (c *shardedCache) Reset() {
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		c.shards[i].m = map[string]string{}
-		c.shards[i].mu.Unlock()
-	}
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.inserts.Store(0)
-}
-
-// CacheStats reports the engine's mis-prediction cache behavior since the
-// last reset.
+// CacheStats reports the engine's mis-prediction cache behavior over its
+// lifetime.
 type CacheStats struct {
 	Hits    int64
 	Misses  int64

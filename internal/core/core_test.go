@@ -104,12 +104,8 @@ func TestMispredictionCacheReduces(t *testing.T) {
 	if repOn.Mispredictions > repOff.Mispredictions {
 		t.Errorf("handling increased mispredictions: %d > %d", repOn.Mispredictions, repOff.Mispredictions)
 	}
-	if repOff.Mispredictions > 0 && engOn.CacheSize() == 0 {
+	if repOff.Mispredictions > 0 && engOn.CacheStats().Entries == 0 {
 		t.Error("cache empty despite mispredictions")
-	}
-	engOn.ResetCache()
-	if engOn.CacheSize() != 0 {
-		t.Error("ResetCache failed")
 	}
 }
 

@@ -71,12 +71,6 @@ type Config struct {
 	// plans when path signature, context fingerprint, and GPU capacity
 	// match. Each engine always keeps its own pointer-keyed L1 regardless.
 	Plans *PlanCache
-	// NoPlanCache compiles a fresh plan for every sample and memoizes
-	// nothing: neither the engine L1 nor the shared L2 is consulted or
-	// filled. Plans are pure functions of their inputs, so this changes no
-	// result — it gives the plan-cache property tests an uncached reference
-	// to compare against.
-	NoPlanCache bool
 }
 
 // FaultLatencyNS is charged per execution block when a sample falls back to
@@ -374,12 +368,6 @@ func (e *Engine) RunEpoch(examples []*pilot.Example) (EpochReport, error) {
 	return rep, nil
 }
 
-// ResetCache clears the mis-prediction cache (between experiments).
-func (e *Engine) ResetCache() { e.cache.Reset() }
-
-// CacheSize returns the number of recorded mis-prediction outputs.
-func (e *Engine) CacheSize() int { return e.cache.Len() }
-
-// CacheStats reports mis-prediction cache hit/miss/insert counters since the
-// last ResetCache.
+// CacheStats reports the mis-prediction cache's hit/miss/insert counters and
+// its entry count.
 func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }

@@ -39,8 +39,8 @@ func TestParallelEpochDeterminism(t *testing.T) {
 		if got.Breakdown != want.Breakdown {
 			t.Errorf("workers=%d: breakdown diverges:\ngot  %+v\nwant %+v", workers, got.Breakdown, want.Breakdown)
 		}
-		if eng.CacheSize() != serial.CacheSize() {
-			t.Errorf("workers=%d: cache size %d, serial %d", workers, eng.CacheSize(), serial.CacheSize())
+		if eng.CacheStats().Entries != serial.CacheStats().Entries {
+			t.Errorf("workers=%d: cache size %d, serial %d", workers, eng.CacheStats().Entries, serial.CacheStats().Entries)
 		}
 	}
 }
@@ -165,10 +165,6 @@ func TestShardedCacheRace(t *testing.T) {
 	}
 	if st.HitRate() <= 0 || st.HitRate() >= 1 {
 		t.Errorf("hit rate = %v", st.HitRate())
-	}
-	c.Reset()
-	if s := c.Stats(); s.Entries != 0 || s.Hits != 0 || s.Misses != 0 || s.Inserts != 0 {
-		t.Errorf("reset left state: %+v", s)
 	}
 }
 

@@ -254,14 +254,10 @@ func PlanCacheKey(info *pilot.PathInfo, capacityBytes int64) string {
 
 // planFor resolves the plan for a path: engine L1 by PathInfo identity, then
 // the shared L2 by PlanKey + capacity, building and publishing on a miss.
-// Under Config.NoPlanCache it compiles a fresh plan and memoizes nothing.
 // Safe for concurrent use; concurrent misses build duplicate (identical)
 // plans and converge on the first published.
 func (e *Engine) planFor(info *pilot.PathInfo) *ResolvedPlan {
 	capacity := e.Cfg.Platform.GPU.MemBytes
-	if e.Cfg.NoPlanCache {
-		return buildResolvedPlan(info.Analysis, info.Blocks, capacity)
-	}
 	if plan := e.pathPlans.lookup(info); plan != nil {
 		return plan
 	}
@@ -282,13 +278,9 @@ func (e *Engine) planFor(info *pilot.PathInfo) *ResolvedPlan {
 }
 
 // partitionPlan resolves the plan for a caller-supplied partition, keyed by
-// analysis identity and partition digest (a fresh, unmemoized compile under
-// Config.NoPlanCache). Engine-local only: custom partitions have no
-// canonical signature to share under.
+// analysis identity and partition digest. Engine-local only: custom
+// partitions have no canonical signature to share under.
 func (e *Engine) partitionPlan(an *sentinel.Analysis, blocks []sentinel.Block) *ResolvedPlan {
-	if e.Cfg.NoPlanCache {
-		return buildResolvedPlan(an, blocks, e.Cfg.Platform.GPU.MemBytes)
-	}
 	k := partPlanKey{analysis: an.ID(), blocks: sentinel.BlocksDigest(blocks)}
 	if plan := e.partPlans.lookup(k); plan != nil {
 		return plan

@@ -8,13 +8,12 @@ import (
 	"dynnoffload/internal/obsv"
 )
 
-// planSchedule runs one fresh-engine traced epoch with the plan cache on or
-// off, optionally attached to a shared L2, and returns the epoch report
-// (wall-measured overhead stripped) plus the canonical span set.
-func planSchedule(t *testing.T, b *propBench, fc faults.Config, workers int, noCache bool, plans *PlanCache) (EpochReport, []obsv.Span) {
+// planSchedule runs one fresh-engine traced epoch, optionally attached to a
+// shared L2, and returns the epoch report (wall-measured overhead stripped),
+// the canonical span set and the engine.
+func planSchedule(t *testing.T, b *propBench, fc faults.Config, workers int, plans *PlanCache) (EpochReport, []obsv.Span, *Engine) {
 	t.Helper()
 	cfg := DefaultConfig(b.plat)
-	cfg.NoPlanCache = noCache
 	cfg.Plans = plans
 	if fc.Rate > 0 {
 		cfg.Faults = faults.New(fc)
@@ -23,22 +22,33 @@ func planSchedule(t *testing.T, b *propBench, fc faults.Config, workers int, noC
 	tracer := obsv.NewTracer()
 	rep, err := eng.ParallelRunEpoch(b.test, EpochOptions{Workers: workers, Tracer: tracer})
 	if err != nil {
-		t.Fatalf("%s: %+v workers=%d noCache=%v: %v", b.name, fc, workers, noCache, err)
+		t.Fatalf("%s: %+v workers=%d: %v", b.name, fc, workers, err)
 	}
 	rep.PilotNS, rep.MappingNS = 0, 0
-	return rep, tracer.Spans()
+	return rep, tracer.Spans(), eng
 }
 
-// TestPlanCacheBitIdentical is the plan-cache acceptance property: with the
-// cache on (engine L1 plus a shared L2), every epoch aggregate — Samples,
-// Mispredictions, CacheHits, the full virtual-time Breakdown, the fault
-// counters — and the entire simulated-time span set are bit-identical to the
-// cache-off reference, across 1/2/4/8 workers, fault-free and faulted. Plans
-// are pure functions of their inputs; this pins it.
+// TestPlanCacheBitIdentical is the plan-cache acceptance property. The
+// reference is a one-worker epoch on a private engine with no shared L2,
+// every plan in whose L1 must deep-equal a fresh compile of its path. With a
+// shared L2 as well, every epoch aggregate — Samples, Mispredictions,
+// CacheHits, the full virtual-time Breakdown, the fault counters — and the
+// entire simulated-time span set are bit-identical to that reference, across
+// 1/2/4/8 workers, fault-free and faulted. Plans are pure functions of their
+// inputs; this pins it.
 func TestPlanCacheBitIdentical(t *testing.T) {
 	for _, b := range propModels(t) {
 		for _, fc := range []faults.Config{{}, {Seed: 11, Rate: 0.2}} {
-			refRep, refSpans := planSchedule(t, b, fc, 1, true, nil)
+			refRep, refSpans, ref := planSchedule(t, b, fc, 1, nil)
+			l1 := *ref.pathPlans.m.Load()
+			if len(l1) == 0 {
+				t.Fatalf("%s: %+v: the reference engine compiled no plans", b.name, fc)
+			}
+			for info, plan := range l1 {
+				if fresh := buildResolvedPlan(info.Analysis, info.Blocks, b.plat.GPU.MemBytes); !reflect.DeepEqual(plan, fresh) {
+					t.Fatalf("%s: %+v: L1 plan for %s differs from a fresh compile", b.name, fc, info.Key)
+				}
+			}
 			if len(refSpans) == 0 {
 				t.Fatalf("%s: %+v: empty reference span set", b.name, fc)
 			}
@@ -47,7 +57,7 @@ func TestPlanCacheBitIdentical(t *testing.T) {
 			}
 			shared := NewPlanCache()
 			for _, workers := range []int{1, 2, 4, 8} {
-				rep, spans := planSchedule(t, b, fc, workers, false, shared)
+				rep, spans, _ := planSchedule(t, b, fc, workers, shared)
 				if rep != refRep {
 					t.Fatalf("%s: %+v: plan cache changed the epoch report at %d workers:\n got %+v\nwant %+v",
 						b.name, fc, workers, rep, refRep)
@@ -75,13 +85,13 @@ func TestPlanCacheBitIdentical(t *testing.T) {
 func TestPlanCacheSharedAcrossEngines(t *testing.T) {
 	b := propModels(t)[0]
 	shared := NewPlanCache()
-	rep1, _ := planSchedule(t, b, faults.Config{}, 2, false, shared)
+	rep1, _, _ := planSchedule(t, b, faults.Config{}, 2, shared)
 	entries := shared.Stats().Entries
 	if entries == 0 {
 		t.Fatal("first engine inserted no plans")
 	}
 	hitsBefore := shared.Stats().Hits
-	rep2, _ := planSchedule(t, b, faults.Config{}, 2, false, shared)
+	rep2, _, _ := planSchedule(t, b, faults.Config{}, 2, shared)
 	if rep1 != rep2 {
 		t.Fatalf("shared plans changed results across engines:\n got %+v\nwant %+v", rep2, rep1)
 	}
@@ -96,17 +106,17 @@ func TestPlanCacheSharedAcrossEngines(t *testing.T) {
 
 // TestPartitionPlanEquivalence pins the SimulatePartition cache: repeated
 // calls (plan compiled once, then served from the partition L1) return the
-// same breakdown as a NoPlanCache engine recomputing from the analysis, for
-// every path of every fixture model.
+// same breakdown as the DES run on a freshly compiled plan, for the truth
+// paths of every fixture model's first test samples.
 func TestPartitionPlanEquivalence(t *testing.T) {
 	for _, b := range propModels(t) {
 		cached := NewEngine(DefaultConfig(b.plat), b.p)
-		refCfg := DefaultConfig(b.plat)
-		refCfg.NoPlanCache = true
-		ref := NewEngine(refCfg, b.p)
 		for _, ex := range b.test[:4] {
 			info := ex.Ctx.PathByKey(ex.TruthKey)
-			want := ref.SimulatePartition(info.Analysis, info.Blocks)
+			want, err := cached.simulatePipelined(buildResolvedPlan(info.Analysis, info.Blocks, b.plat.GPU.MemBytes), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for rep := 0; rep < 3; rep++ {
 				if got := cached.SimulatePartition(info.Analysis, info.Blocks); got != want {
 					t.Fatalf("%s %s rep %d: cached partition diverges:\n got %+v\nwant %+v",

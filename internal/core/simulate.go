@@ -26,8 +26,9 @@ import (
 // xfer issues one transfer on a lane and climbs the recovery ladder on
 // injected faults: bounded re-issues with exponential backoff on the DES
 // clock, then a final fault-blind blocking copy that always completes.
-// Returns the completion time; fault-free it is exactly Streams.Run, so the
-// no-injection arithmetic is bit-identical to the pre-fault engine.
+// Returns the completion time; fault-free it is exactly Streams.RunSpan's
+// end, so the no-injection arithmetic is bit-identical to the pre-fault
+// engine.
 //
 // When st is non-nil the transfer is traced: each aborted attempt becomes a
 // retry span covering its wasted lane occupancy, and the completing issue a
@@ -252,11 +253,9 @@ func (e *Engine) simulatePipelined(rp *ResolvedPlan, fs *faults.Stream, st *obsv
 	}
 
 	// The final block's live outputs (updated weights and optimizer state)
-	// stay CPU-resident copies, charged on the next iteration's fetch; only
-	// a migration still in flight past the last compute is exposed.
-	if mig > computeEnd {
-		bd.ExposedXferNS += mig - computeEnd
-	}
+	// stay CPU-resident copies, charged on the next iteration's fetch. No
+	// migration is in flight past the last compute: mig is last advanced
+	// before block n-1 starts, and every start is at least mig.
 	bd.OverlapXferNS = e.CM.BatchedXferTime(bd.H2DBytes+bd.D2HBytes) - bd.ExposedXferNS
 	if bd.OverlapXferNS < 0 {
 		bd.OverlapXferNS = 0

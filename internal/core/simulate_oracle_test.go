@@ -136,7 +136,7 @@ func (e *Engine) oraclePipelined(an *sentinel.Analysis, blocks []sentinel.Block,
 		st, obsv.SpanPrefetch, 0, fetch0)
 	bd.H2DBytes += fetch0
 	var err error
-	if mig, err = addAll(an.WorkingIDs(blocks[0]), mig, 0); err != nil {
+	if mig, err = addAll(oracleWorkingIDs(an, blocks[0]), mig, 0); err != nil {
 		return bd, err
 	}
 
@@ -160,7 +160,7 @@ func (e *Engine) oraclePipelined(an *sentinel.Analysis, blocks []sentinel.Block,
 			bd.Faults++
 			st.Span(obsv.SpanFault, obsv.LaneHost, i, start, FaultLatencyNS, 0)
 			fs.NoteOnDemandFallback()
-			if start, err = addAll(an.WorkingIDs(blocks[i]), start, i); err != nil {
+			if start, err = addAll(oracleWorkingIDs(an, blocks[i]), start, i); err != nil {
 				return bd, err
 			}
 		}
@@ -178,7 +178,7 @@ func (e *Engine) oraclePipelined(an *sentinel.Analysis, blocks []sentinel.Block,
 				migStart = e.xfer(streams, gpusim.LaneD2H, fs, migStart, e.CM.BatchedXferTime(evict),
 					st, obsv.SpanEvict, i-1, evict)
 				bd.D2HBytes += evict
-				dropAll(an.WorkingIDs(blocks[i-1]))
+				dropAll(oracleWorkingIDs(an, blocks[i-1]))
 			}
 			fetch := an.FetchBytes(blocks[i+1], blocks[i])
 			if fs.PrefetchDrop() {
@@ -191,7 +191,7 @@ func (e *Engine) oraclePipelined(an *sentinel.Analysis, blocks []sentinel.Block,
 				mig = e.xfer(streams, gpusim.LaneH2D, fs, migStart, e.CM.BatchedXferTime(fetch),
 					st, obsv.SpanPrefetch, i+1, fetch)
 				bd.H2DBytes += fetch
-				if mig, err = addAll(an.WorkingIDs(blocks[i+1]), mig, i+1); err != nil {
+				if mig, err = addAll(oracleWorkingIDs(an, blocks[i+1]), mig, i+1); err != nil {
 					return bd, err
 				}
 			}
@@ -393,4 +393,23 @@ func TestPlanSimulatorMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// oracleWorkingIDs lists the distinct tensors a block's records reference
+// (each record's inputs, then its outputs), in first-reference order: the
+// order the plan's WorkingIDs hold, read from the trace itself.
+func oracleWorkingIDs(an *sentinel.Analysis, b sentinel.Block) []int64 {
+	seen := map[int64]bool{}
+	var out []int64
+	for _, r := range an.Trace.Records[b.Start:b.End] {
+		for _, ids := range [2][]int64{r.Inputs, r.Outputs} {
+			for _, id := range ids {
+				if !seen[id] {
+					seen[id] = true
+					out = append(out, id)
+				}
+			}
+		}
+	}
+	return out
 }

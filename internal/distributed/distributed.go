@@ -96,10 +96,6 @@ func New(cfg Config, engines []*core.Engine) (*Cluster, error) {
 	return &Cluster{cfg: cfg, eng: append([]*core.Engine(nil), engines...), ic: ic}, nil
 }
 
-// Interconnect exposes the wired links (tests and callers that pre-load
-// contention).
-func (c *Cluster) Interconnect() *gpusim.Interconnect { return c.ic }
-
 // EpochReport is one cluster epoch's outcome.
 type EpochReport struct {
 	GPUs  int

@@ -139,6 +139,3 @@ func NewAlphaFold(cfg AlphaFoldConfig) *AlphaFold {
 	m.finish()
 	return m
 }
-
-// Config returns the instance configuration.
-func (m *AlphaFold) Config() AlphaFoldConfig { return m.cfg }

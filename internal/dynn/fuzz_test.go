@@ -40,7 +40,7 @@ func checkResolved(t *testing.T, s *graph.Static, r *graph.Resolved) {
 	if st := r.Stats(); st.OpCount != len(r.Ops) {
 		t.Fatalf("Stats().OpCount %d != len(Ops) %d", st.OpCount, len(r.Ops))
 	}
-	if r.TotalFLOPs() < 0 {
+	if totalFLOPs(r) < 0 {
 		t.Fatal("negative total FLOPs")
 	}
 	if bits := r.ControlBits(s); len(bits) != s.NumSites {

@@ -89,6 +89,3 @@ func NewMoE(cfg MoEConfig) *MoE {
 	m.finish()
 	return m
 }
-
-// Config returns the instance configuration.
-func (m *MoE) Config() MoEConfig { return m.cfg }

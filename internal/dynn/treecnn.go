@@ -95,6 +95,3 @@ func NewTreeCNN(cfg TreeCNNConfig) *TreeCNN {
 	m.finish()
 	return m
 }
-
-// Config returns the instance configuration.
-func (m *TreeCNN) Config() TreeCNNConfig { return m.cfg }

@@ -82,6 +82,3 @@ func NewTreeLSTM(cfg TreeLSTMConfig) *TreeLSTM {
 	m.finish()
 	return m
 }
-
-// Config returns the instance configuration.
-func (m *TreeLSTM) Config() TreeLSTMConfig { return m.cfg }

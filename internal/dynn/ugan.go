@@ -112,6 +112,3 @@ func NewUGAN(cfg UGANConfig) *UGAN {
 	m.finish()
 	return m
 }
-
-// Config returns the instance configuration.
-func (m *UGAN) Config() UGANConfig { return m.cfg }

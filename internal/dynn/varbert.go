@@ -133,9 +133,6 @@ func NewVarBERT(cfg VarBERTConfig) *VarBERT {
 	return m
 }
 
-// Config returns the instance configuration.
-func (m *VarBERT) Config() VarBERTConfig { return m.cfg }
-
 // NewFixedBERT builds the static-BERT baseline from the same config.
 func NewFixedBERT(cfg VarBERTConfig) *VarBERT {
 	cfg.Static = true

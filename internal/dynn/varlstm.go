@@ -119,6 +119,3 @@ func NewFixedLSTM(cfg VarLSTMConfig) *VarLSTM {
 	cfg.Static = true
 	return NewVarLSTM(cfg)
 }
-
-// Config returns the instance configuration.
-func (m *VarLSTM) Config() VarLSTMConfig { return m.cfg }

@@ -169,23 +169,6 @@ type Workbench struct {
 	Plans *core.PlanCache
 }
 
-// pressurize caps the platform's GPU at a fraction of the model's largest
-// footprint (and CPU at 8x that), reproducing the paper's "model larger than
-// GPU memory" regime at bench scale. The budget never drops below what
-// double-buffering the largest single operator requires.
-func pressurize(plat gpusim.Platform, ctxTotal, maxOpBytes int64, fraction float64) gpusim.Platform {
-	budget := int64(float64(ctxTotal) * fraction)
-	if floor := 9 * maxOpBytes / 4; budget < floor {
-		budget = floor
-	}
-	if budget < 1<<20 {
-		budget = 1 << 20
-	}
-	p := plat.WithMemory(budget)
-	p.CPUMemBytes = 8 * ctxTotal
-	return p
-}
-
 // NewModelBench prepares one zoo entry under the given options.
 func NewModelBench(entry dynn.ZooEntry, opts Options) (*ModelBench, error) {
 	m := entry.New(opts.Batch, opts.Seed)
@@ -193,24 +176,10 @@ func NewModelBench(entry dynn.ZooEntry, opts Options) (*ModelBench, error) {
 	if entry.Name == "var-BERT" || entry.Name == "AlphaFold" || entry.Name == "fixed-BERT" {
 		base = gpusim.A100Platform() // the paper deploys these on A100 (§VI-C)
 	}
-	cm := gpusim.NewCostModel(base)
-
-	// Probe the model's footprint with a provisional context, then rebuild
-	// the context with the pressure-scaled double-buffer budget.
-	probe, err := pilot.NewModelContext(m, cm, 0, 0)
+	plat, err := pilot.PressurePlatform(m, base, opts.PressureFraction)
 	if err != nil {
 		return nil, fmt.Errorf("expt: %s: %w", entry.Name, err)
 	}
-	var maxPeak, maxOp int64
-	for _, info := range probe.Paths {
-		if b := info.Analysis.PeakResidentBytes(); b > maxPeak {
-			maxPeak = b
-		}
-		if b := info.Analysis.MaxSingleOpBytes(); b > maxOp {
-			maxOp = b
-		}
-	}
-	plat := pressurize(base, maxPeak, maxOp, opts.PressureFraction)
 	ctx, err := pilot.NewModelContext(m, gpusim.NewCostModel(plat), plat.GPU.MemBytes/2, 0)
 	if err != nil {
 		return nil, fmt.Errorf("expt: %s: %w", entry.Name, err)

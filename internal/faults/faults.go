@@ -142,9 +142,6 @@ func New(cfg Config) *Injector {
 // Enabled reports whether the injector can inject anything at all.
 func (inj *Injector) Enabled() bool { return inj != nil && inj.cfg.Rate > 0 }
 
-// Config returns the normalized configuration.
-func (inj *Injector) Config() Config { return inj.cfg }
-
 // Stream derives the fault stream for one scope — typically one sample's
 // simulation. Streams with the same (injector seed, scope) replay the same
 // schedule; distinct scopes are statistically independent. A Stream is not

@@ -132,10 +132,10 @@ func TestParseSpec(t *testing.T) {
 
 func TestStallFactorDefaultAndClamp(t *testing.T) {
 	inj := New(Config{Seed: 1, Rate: 1})
-	if inj.Config().StallFactor != 4 {
-		t.Errorf("default stall factor = %d, want 4", inj.Config().StallFactor)
+	if inj.cfg.StallFactor != 4 {
+		t.Errorf("default stall factor = %d, want 4", inj.cfg.StallFactor)
 	}
-	if got := New(Config{Rate: 7}).Config().Rate; got != 1 {
+	if got := New(Config{Rate: 7}).cfg.Rate; got != 1 {
 		t.Errorf("rate clamp = %v, want 1", got)
 	}
 	// At rate 1 every transfer faults, split between stall and abort.

@@ -67,23 +67,23 @@ func TestXferTime(t *testing.T) {
 
 func TestStreamsOverlap(t *testing.T) {
 	var s Streams
-	end1 := s.RunCompute(0, 100)
-	end2 := s.RunH2D(0, 80)
+	end1 := s.Run(LaneCompute, 0, 100)
+	end2 := s.Run(LaneH2D, 0, 80)
 	if end1 != 100 || end2 != 80 {
 		t.Errorf("independent streams must overlap: %d %d", end1, end2)
 	}
 	// Same-stream work serializes.
-	end3 := s.RunCompute(0, 50)
+	end3 := s.Run(LaneCompute, 0, 50)
 	if end3 != 150 {
 		t.Errorf("same-stream must serialize: %d", end3)
 	}
 	// Dependency via ready time.
-	end4 := s.RunCompute(end2+1000, 10)
+	end4 := s.Run(LaneCompute, end2+1000, 10)
 	if end4 != end2+1010 {
 		t.Errorf("ready time not honored: %d", end4)
 	}
-	if s.Now() != end4 {
-		t.Errorf("Now = %d, want %d", s.Now(), end4)
+	if last := max(s.Compute, s.H2D, s.D2H); last != end4 {
+		t.Errorf("latest completion = %d, want %d", last, end4)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestMemPoolBasics(t *testing.T) {
 	if err := p.Add(3, 40); err != nil {
 		t.Fatal(err)
 	}
-	if p.Used() != 100 || p.Free() != 0 || p.Peak() != 100 {
-		t.Errorf("used=%d free=%d peak=%d", p.Used(), p.Free(), p.Peak())
+	if p.used != 100 || p.Free() != 0 || p.Peak() != 100 {
+		t.Errorf("used=%d free=%d peak=%d", p.used, p.Free(), p.Peak())
 	}
 	if got := p.Remove(1); got != 60 {
 		t.Errorf("Remove returned %d", got)
@@ -112,8 +112,8 @@ func TestMemPoolBasics(t *testing.T) {
 	}
 	// Re-adding an existing ID is a touch, not a double count.
 	p.Add(3, 40)
-	if p.Used() != 40 {
-		t.Errorf("double-add double-counted: %d", p.Used())
+	if p.used != 40 {
+		t.Errorf("double-add double-counted: %d", p.used)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestMemPoolInvariant(t *testing.T) {
 			} else {
 				_ = p.Add(id, int64(op%7)*10)
 			}
-			if p.Used() < 0 || p.Used() > p.Capacity {
+			if p.used < 0 || p.used > p.Capacity {
 				return false
 			}
 		}
@@ -188,8 +188,8 @@ func TestPageTableAllocate(t *testing.T) {
 	if pt.MissingPages(1) != 0 {
 		t.Error("allocate must make pages resident")
 	}
-	if pt.Used() != 2*UVMPageSize {
-		t.Errorf("used = %d", pt.Used())
+	if pt.used != 2*UVMPageSize {
+		t.Errorf("used = %d", pt.used)
 	}
 }
 
@@ -200,7 +200,7 @@ func TestPageTableExplicitEvict(t *testing.T) {
 	if n := pt.Evict(1); n != 3 {
 		t.Errorf("Evict returned %d", n)
 	}
-	if pt.Used() != 0 {
+	if pt.used != 0 {
 		t.Error("pages leaked after evict")
 	}
 	if pt.Evict(1) != 0 {
@@ -234,4 +234,10 @@ func absDiff(a, b int64) int64 {
 		return a - b
 	}
 	return b - a
+}
+
+// Run is RunSpan returning only the completion time.
+func (s *Streams) Run(l Lane, ready, dur int64) int64 {
+	_, end := s.RunSpan(l, ready, dur)
+	return end
 }

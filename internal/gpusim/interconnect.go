@@ -97,7 +97,6 @@ func (l *Link) Stats(spanNS int64) LinkStats {
 // resource layer-offload traffic occupies — which is exactly where the
 // closed-form model stops and joint DES scheduling starts.
 type Interconnect struct {
-	gpus        int
 	gpusPerNode int
 	host        []*Link // per node
 	egress      []*Link // per GPU, to its ring successor
@@ -113,7 +112,7 @@ func NewInterconnect(gpus, gpusPerNode int, intra, cross LinkSpec) *Interconnect
 	if gpusPerNode <= 0 {
 		gpusPerNode = gpus
 	}
-	ic := &Interconnect{gpus: gpus, gpusPerNode: gpusPerNode}
+	ic := &Interconnect{gpusPerNode: gpusPerNode}
 	nodes := (gpus + gpusPerNode - 1) / gpusPerNode
 	for n := 0; n < nodes; n++ {
 		ic.host = append(ic.host, NewLink(fmt.Sprintf("link/pcie-node%d", n), cross))
@@ -131,12 +130,6 @@ func NewInterconnect(gpus, gpusPerNode int, intra, cross LinkSpec) *Interconnect
 	}
 	return ic
 }
-
-// GPUs is the GPU count.
-func (ic *Interconnect) GPUs() int { return ic.gpus }
-
-// Nodes is the node count.
-func (ic *Interconnect) Nodes() int { return len(ic.host) }
 
 // Node maps a GPU index to its node index.
 func (ic *Interconnect) Node(gpu int) int { return gpu / ic.gpusPerNode }

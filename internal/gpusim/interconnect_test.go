@@ -46,8 +46,8 @@ func TestInterconnectTopology(t *testing.T) {
 
 	// 8 GPUs, 4 per node: two nodes, GPUs 3 and 7 cross node boundaries.
 	ic := NewInterconnect(8, 4, intra, cross)
-	if ic.Nodes() != 2 {
-		t.Fatalf("nodes = %d, want 2", ic.Nodes())
+	if len(ic.host) != 2 {
+		t.Fatalf("nodes = %d, want 2", len(ic.host))
 	}
 	for g := 0; g < 8; g++ {
 		wantNode := g / 4
@@ -75,8 +75,8 @@ func TestInterconnectTopology(t *testing.T) {
 
 	// Single node: every egress is dedicated; one host link.
 	one := NewInterconnect(4, 0, intra, cross)
-	if one.Nodes() != 1 {
-		t.Fatalf("single-node count = %d", one.Nodes())
+	if len(one.host) != 1 {
+		t.Fatalf("single-node count = %d", len(one.host))
 	}
 	for g := 0; g < 4; g++ {
 		if one.Egress(g) == one.HostLink(g) {

@@ -63,9 +63,6 @@ func (p *MemPool) Reset(capacity int64) {
 	p.head, p.tail = -1, -1
 }
 
-// Used returns resident bytes.
-func (p *MemPool) Used() int64 { return p.used }
-
 // Peak returns the high-water mark of resident bytes.
 func (p *MemPool) Peak() int64 { return p.peak }
 
@@ -82,15 +79,6 @@ func (p *MemPool) slot(id int64) int32 {
 
 // Resident reports whether tensor id is on the GPU.
 func (p *MemPool) Resident(id int64) bool { return p.slot(id) >= 0 }
-
-// ResidentBytes returns the size recorded for a resident tensor (0 if not
-// resident).
-func (p *MemPool) ResidentBytes(id int64) int64 {
-	if slot := p.slot(id); slot >= 0 {
-		return p.entries[slot].bytes
-	}
-	return 0
-}
 
 // unlink detaches a slot from the LRU list without freeing it.
 func (p *MemPool) unlink(slot int32) {
@@ -186,15 +174,6 @@ func (p *MemPool) Victims(need int64) []int64 {
 		ent := &p.entries[slot]
 		out = append(out, ent.id)
 		got += ent.bytes
-	}
-	return out
-}
-
-// ResidentIDs returns all resident tensor IDs in LRU order.
-func (p *MemPool) ResidentIDs() []int64 {
-	out := make([]int64, 0, len(p.entries)-len(p.free))
-	for slot := p.head; slot >= 0; slot = p.entries[slot].next {
-		out = append(out, p.entries[slot].id)
 	}
 	return out
 }

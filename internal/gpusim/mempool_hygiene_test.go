@@ -43,8 +43,8 @@ func poisonPool(p *MemPool) {
 // a fixed id universe, so the differential driver can compare whole states.
 func poolObservables(p *MemPool, ids []int64) string {
 	s := fmt.Sprintf("cap=%d used=%d peak=%d free=%d resident=%v victims-all=%v victims-half=%v",
-		p.Capacity, p.Used(), p.Peak(), p.Free(), p.ResidentIDs(),
-		p.Victims(p.Capacity), p.Victims(p.Used()/2))
+		p.Capacity, p.used, p.Peak(), p.Free(), p.ResidentIDs(),
+		p.Victims(p.Capacity), p.Victims(p.used/2))
 	for _, id := range ids {
 		s += fmt.Sprintf(" %d:%v/%d", id, p.Resident(id), p.ResidentBytes(id))
 	}
@@ -114,9 +114,9 @@ func TestMemPoolAcquireReleaseClean(t *testing.T) {
 	ReleaseMemPool(p)
 
 	q := AcquireMemPool(1 << 10)
-	if q.Used() != 0 || q.Peak() != 0 || q.Free() != 1<<10 || len(q.ResidentIDs()) != 0 {
+	if q.used != 0 || q.Peak() != 0 || q.Free() != 1<<10 || len(q.ResidentIDs()) != 0 {
 		t.Fatalf("recycled pool not clean: used=%d peak=%d free=%d resident=%v",
-			q.Used(), q.Peak(), q.Free(), q.ResidentIDs())
+			q.used, q.Peak(), q.Free(), q.ResidentIDs())
 	}
 	if q.Resident(1) || q.ResidentBytes(1) != 0 {
 		t.Fatal("tensor from a previous life still resident")

@@ -107,9 +107,9 @@ func runPoolProgram(prog []byte, ids []int64) error {
 			}
 			m = newPoolModel(capacity)
 		}
-		if p.Used() != m.used || p.Peak() != m.peak || p.Free() != m.capacity-m.used {
+		if p.used != m.used || p.Peak() != m.peak || p.Free() != m.capacity-m.used {
 			return fmt.Errorf("step %d: used/peak/free = %d/%d/%d, want %d/%d/%d",
-				step, p.Used(), p.Peak(), p.Free(), m.used, m.peak, m.capacity-m.used)
+				step, p.used, p.Peak(), p.Free(), m.used, m.peak, m.capacity-m.used)
 		}
 		if got := p.ResidentIDs(); !slices.Equal(got, m.lru) {
 			return fmt.Errorf("step %d: ResidentIDs = %v, want %v", step, got, m.lru)
@@ -171,4 +171,22 @@ func TestMemPoolAddRemoveAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("warm Add/Remove cycle allocates %v times", n)
 	}
+}
+
+// ResidentBytes returns the size recorded for a resident tensor (0 if not
+// resident).
+func (p *MemPool) ResidentBytes(id int64) int64 {
+	if slot := p.slot(id); slot >= 0 {
+		return p.entries[slot].bytes
+	}
+	return 0
+}
+
+// ResidentIDs returns all resident tensor IDs in LRU order.
+func (p *MemPool) ResidentIDs() []int64 {
+	out := make([]int64, 0, len(p.entries)-len(p.free))
+	for slot := p.head; slot >= 0; slot = p.entries[slot].next {
+		out = append(out, p.entries[slot].id)
+	}
+	return out
 }

@@ -41,9 +41,6 @@ func PagesOf(bytes int64) int {
 	return int((bytes + UVMPageSize - 1) / UVMPageSize)
 }
 
-// Used returns resident bytes (page-rounded).
-func (pt *PageTable) Used() int64 { return pt.used }
-
 // Peak returns the high-water mark.
 func (pt *PageTable) Peak() int64 { return pt.peak }
 

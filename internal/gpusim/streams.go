@@ -16,9 +16,9 @@ var ErrTransferAborted = errors.New("gpusim: transfer aborted")
 // expressed by starting work at the max of the relevant ready times.
 //
 // The zero value is a valid, fault-free stream set. NewStreams with
-// WithFaultStream attaches a deterministic fault stream that Try consults at
-// each transfer; the Run* methods stay fault-blind (they are the final rung
-// of the recovery ladder).
+// WithFaultStream attaches a deterministic fault stream that TrySpan consults
+// at each transfer; RunSpan stays fault-blind (it is the final rung of the
+// recovery ladder).
 type Streams struct {
 	Compute int64
 	H2D     int64
@@ -30,7 +30,7 @@ type Streams struct {
 // StreamOption configures NewStreams.
 type StreamOption func(*Streams)
 
-// WithFaultStream attaches the fault stream consulted by Try at each
+// WithFaultStream attaches the fault stream consulted by TrySpan at each
 // transfer. A nil stream leaves the Streams fault-free.
 func WithFaultStream(fs *faults.Stream) StreamOption {
 	return func(s *Streams) { s.fs = fs }
@@ -45,7 +45,7 @@ func NewStreams(opts ...StreamOption) *Streams {
 	return s
 }
 
-// Lane names one hardware queue for the lane-generic Run/Try entry points.
+// Lane names one hardware queue for RunSpan and TrySpan.
 type Lane int
 
 const (
@@ -74,17 +74,11 @@ func (s *Streams) lane(l Lane) *int64 {
 	return &s.Compute
 }
 
-// Run enqueues work on a lane fault-blind: not starting before ready,
-// returning the completion time. It never consults the fault stream, which
-// makes it the guaranteed-to-complete final rung of the recovery ladder.
-func (s *Streams) Run(l Lane, ready, dur int64) int64 {
-	_, end := s.RunSpan(l, ready, dur)
-	return end
-}
-
-// RunSpan is Run exposing the occupied interval: it returns both the time
-// the work actually began (max of lane busy-until and ready) and the
-// completion time, so callers can record [start, end) busy spans.
+// RunSpan enqueues work on a lane fault-blind, not starting before ready. It
+// returns the time the work actually began (max of lane busy-until and
+// ready) and the completion time, so callers can record [start, end) busy
+// spans. It never consults the fault stream, which makes it the
+// guaranteed-to-complete final rung of the recovery ladder.
 func (s *Streams) RunSpan(l Lane, ready, dur int64) (start, end int64) {
 	b := s.lane(l)
 	start = max64(*b, ready)
@@ -92,18 +86,12 @@ func (s *Streams) RunSpan(l Lane, ready, dur int64) (start, end int64) {
 	return start, *b
 }
 
-// Try enqueues a transfer on a lane, consulting the attached fault stream.
-// An injected stall multiplies the duration by the configured factor; an
-// injected abort occupies the lane for half the duration (the wasted
-// mid-flight time) and returns ErrTransferAborted — the caller must
-// re-issue. Without a fault stream Try is exactly Run.
-func (s *Streams) Try(l Lane, ready, dur int64) (int64, error) {
-	_, end, err := s.TrySpan(l, ready, dur)
-	return end, err
-}
-
-// TrySpan is Try exposing the occupied interval (see RunSpan). On an
-// injected abort the returned span covers the wasted mid-flight time.
+// TrySpan enqueues a transfer on a lane, consulting the attached fault
+// stream, and returns the occupied interval (see RunSpan). An injected stall
+// multiplies the duration by the configured factor; an injected abort
+// occupies the lane for half the duration (the wasted mid-flight time) and
+// returns ErrTransferAborted — the caller must re-issue. Without a fault
+// stream TrySpan is exactly RunSpan.
 func (s *Streams) TrySpan(l Lane, ready, dur int64) (start, end int64, err error) {
 	f := s.fs.Transfer()
 	if f.Abort {
@@ -112,30 +100,6 @@ func (s *Streams) TrySpan(l Lane, ready, dur int64) (start, end int64, err error
 	}
 	start, end = s.RunSpan(l, ready, dur*f.StallFactor)
 	return start, end, nil
-}
-
-// Busy returns the lane's busy-until virtual time.
-func (s *Streams) Busy(l Lane) int64 { return *s.lane(l) }
-
-// RunCompute enqueues work of the given duration on the compute stream, not
-// starting before ready. Returns the completion time.
-func (s *Streams) RunCompute(ready, dur int64) int64 {
-	return s.Run(LaneCompute, ready, dur)
-}
-
-// RunH2D enqueues a host-to-device transfer.
-func (s *Streams) RunH2D(ready, dur int64) int64 {
-	return s.Run(LaneH2D, ready, dur)
-}
-
-// RunD2H enqueues a device-to-host transfer.
-func (s *Streams) RunD2H(ready, dur int64) int64 {
-	return s.Run(LaneD2H, ready, dur)
-}
-
-// Now returns the latest completion time across all streams.
-func (s *Streams) Now() int64 {
-	return max64(s.Compute, max64(s.H2D, s.D2H))
 }
 
 func max64(a, b int64) int64 {

@@ -23,11 +23,11 @@ func TestRunSpanInterval(t *testing.T) {
 	if start != 500 || end != 510 {
 		t.Errorf("gapped span = [%d,%d), want [500,510)", start, end)
 	}
-	if s.Busy(LaneCompute) != 510 {
-		t.Errorf("Busy = %d", s.Busy(LaneCompute))
+	if s.Compute != 510 {
+		t.Errorf("compute busy-until = %d", s.Compute)
 	}
 	// Lanes are independent queues.
-	if s.Busy(LaneH2D) != 0 || s.Busy(LaneD2H) != 0 {
+	if s.H2D != 0 || s.D2H != 0 {
 		t.Error("RunSpan leaked into other lanes")
 	}
 	if got := s.Run(LaneH2D, 0, 40); got != 40 {
@@ -61,8 +61,8 @@ func TestTrySpanFaultIntervals(t *testing.T) {
 			if start != 0 || end != 50 {
 				t.Fatalf("aborted span = [%d,%d), want [0,50)", start, end)
 			}
-			if s.Busy(LaneH2D) != 50 {
-				t.Fatalf("lane busy-until = %d after abort", s.Busy(LaneH2D))
+			if s.H2D != 50 {
+				t.Fatalf("lane busy-until = %d after abort", s.H2D)
 			}
 			sawAbort = true
 		} else if err != nil {

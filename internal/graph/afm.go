@@ -39,27 +39,6 @@ func BuildAFM(s *Static) *AFM {
 	return afm
 }
 
-// NumRows returns the row count.
-func (a *AFM) NumRows() int { return len(a.Rows) }
-
-// ControlRows returns the indices of dummy (control-flow) rows.
-func (a *AFM) ControlRows() []int {
-	var out []int
-	for i, row := range a.Rows {
-		zero := true
-		for _, v := range row {
-			if v != 0 {
-				zero = false
-				break
-			}
-		}
-		if zero {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // PooledFeatures compresses the AFM into a fixed-length feature vector for
 // the pilot model: the rows are split into `segments` contiguous groups and
 // each group's rows are summed, yielding segments×SigLen features. This keeps

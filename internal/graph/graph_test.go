@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -116,10 +117,10 @@ func TestAFMLayout(t *testing.T) {
 	s, _ := miniArch(t)
 	afm := BuildAFM(s)
 	// rows: a, ctrl(branch), b0, b1, b2, ctrl(repeat), r, z = 8
-	if afm.NumRows() != 8 {
-		t.Fatalf("AFM rows = %d, want 8", afm.NumRows())
+	if len(afm.Rows) != 8 {
+		t.Fatalf("AFM rows = %d, want 8", len(afm.Rows))
 	}
-	ctrl := afm.ControlRows()
+	ctrl := controlRows(afm)
 	if len(ctrl) != 2 || ctrl[0] != 1 || ctrl[1] != 5 {
 		t.Errorf("control rows = %v, want [1 5]", ctrl)
 	}
@@ -189,20 +190,6 @@ func TestEnumeratePaths(t *testing.T) {
 		}
 		if r.Stats().OpCount != p.Stats.OpCount {
 			t.Errorf("path stats mismatch for %v", p.Decisions)
-		}
-	}
-}
-
-func TestMatchStatsNearest(t *testing.T) {
-	s, _ := miniArch(t)
-	paths, _ := EnumeratePaths(s)
-	for i := range paths {
-		best, exact := MatchStats(paths, paths[i].Stats)
-		if !exact {
-			t.Errorf("own stats must match exactly")
-		}
-		if best.Stats.OpCount != paths[i].Stats.OpCount {
-			t.Errorf("matched wrong path")
 		}
 	}
 }
@@ -290,21 +277,6 @@ func TestWeightStateBytes(t *testing.T) {
 	}
 }
 
-func TestProducerMap(t *testing.T) {
-	var reg tensor.Registry
-	a := reg.New("a", tensor.Activation, tensor.F32, 1)
-	b := reg.New("b", tensor.Activation, tensor.F32, 1)
-	ops := []*Op{
-		NewOp("add", 1, nil, []*tensor.Meta{a}),
-		NewOp("add", 1, []*tensor.Meta{a}, []*tensor.Meta{b}),
-		NewOp("add", 1, []*tensor.Meta{b}, []*tensor.Meta{a}), // second producer ignored
-	}
-	pm := ProducerMap(ops)
-	if pm[a.ID] != 0 || pm[b.ID] != 1 {
-		t.Errorf("ProducerMap = %v", pm)
-	}
-}
-
 func TestOpBytesDeduplicated(t *testing.T) {
 	var reg tensor.Registry
 	y := reg.New("y", tensor.Activation, tensor.F32, 8) // 32 B
@@ -349,4 +321,60 @@ func TestResolveDeterministic(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// OpCount returns the number of operator occurrences in program order (every
+// branch arm counted, repeats counted once), i.e. the number of non-dummy
+// AFM rows.
+func (s *Static) OpCount() int {
+	n := 0
+	var walk func(elems []Elem)
+	walk = func(elems []Elem) {
+		for _, e := range elems {
+			switch v := e.(type) {
+			case OpElem:
+				n++
+			case Branch:
+				for _, arm := range v.Arms {
+					walk(arm)
+				}
+			case Repeat:
+				walk(v.Body)
+			}
+		}
+	}
+	walk(s.Elems)
+	return n
+}
+
+// controlRows returns the indices of the AFM's dummy (control-flow) rows.
+func controlRows(a *AFM) []int {
+	var out []int
+	for i, row := range a.Rows {
+		zero := true
+		for _, v := range row {
+			if v != 0 {
+				zero = false
+				break
+			}
+		}
+		if zero {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// StatsDistance is the summed relative error over operator count and the
+// nine signature aggregates.
+func StatsDistance(a, b Stats) float64 {
+	d := relErr(float64(a.OpCount), float64(b.OpCount))
+	for i := range a.Sig {
+		d += relErr(a.Sig[i], b.Sig[i])
+	}
+	return d
+}
+
+func relErr(a, b float64) float64 {
+	return math.Abs(a-b) / (1 + math.Max(math.Abs(a), math.Abs(b)))
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Path is one complete resolution of a static architecture together with its
 // bookkeeping aggregate, used to map pilot-model output back to control-flow
@@ -86,41 +83,4 @@ func EnumeratePaths(s *Static) ([]Path, error) {
 		return nil, err
 	}
 	return paths, nil
-}
-
-// MatchStats finds the path whose aggregate bookkeeping record is nearest to
-// the target under a per-element normalized distance (§IV-B: an exact match
-// is expected because pilot-training labels are constructed to match; when
-// the regression output is noisy, the closest path by bookkeeping record is
-// chosen). exact reports whether the best match was within tolerance on every
-// element.
-func MatchStats(paths []Path, target Stats) (best *Path, exact bool) {
-	bestDist := math.Inf(1)
-	for i := range paths {
-		p := &paths[i]
-		d := StatsDistance(p.Stats, target)
-		if d < bestDist {
-			bestDist = d
-			best = p
-		}
-	}
-	return best, bestDist < MatchTolerance
-}
-
-// MatchTolerance bounds the summed relative error for a match to count as
-// exact.
-const MatchTolerance = 0.02
-
-// StatsDistance is the summed relative error over operator count and the
-// nine signature aggregates.
-func StatsDistance(a, b Stats) float64 {
-	d := relErr(float64(a.OpCount), float64(b.OpCount))
-	for i := range a.Sig {
-		d += relErr(a.Sig[i], b.Sig[i])
-	}
-	return d
-}
-
-func relErr(a, b float64) float64 {
-	return math.Abs(a-b) / (1 + math.Max(math.Abs(a), math.Abs(b)))
 }

@@ -96,12 +96,3 @@ func (r *Resolved) ControlBits(s *Static) []bool {
 	}
 	return bits
 }
-
-// TotalFLOPs sums operator FLOPs over the resolved sequence.
-func (r *Resolved) TotalFLOPs() int64 {
-	var f int64
-	for _, op := range r.Ops {
-		f += op.FLOPs
-	}
-	return f
-}

@@ -82,21 +82,6 @@ func opToken(op *Op) string {
 	return sb.String()
 }
 
-// SignatureHash is a 64-bit FNV-1a fold of a signature string, for callers
-// that need a fixed-width fingerprint (cache shard selection, compact keys).
-func SignatureHash(sig string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(sig); i++ {
-		h ^= uint64(sig[i])
-		h *= prime64
-	}
-	return h
-}
-
 // SignatureHash128 folds one or more strings into a 128-bit FNV-1a
 // fingerprint (hi, lo). The plan-cache key layer uses it to replace the full
 // signature+fingerprint string — whose comparison walked hundreds of bytes on

@@ -117,27 +117,3 @@ func (s *Static) DecisionRange() []int {
 	walk(s.Elems)
 	return ranges
 }
-
-// OpCount returns the number of operator occurrences in program order (every
-// branch arm counted, repeats counted once), i.e. the number of non-dummy
-// AFM rows.
-func (s *Static) OpCount() int {
-	n := 0
-	var walk func(elems []Elem)
-	walk = func(elems []Elem) {
-		for _, e := range elems {
-			switch v := e.(type) {
-			case OpElem:
-				n++
-			case Branch:
-				for _, arm := range v.Arms {
-					walk(arm)
-				}
-			case Repeat:
-				walk(v.Body)
-			}
-		}
-	}
-	walk(s.Elems)
-	return n
-}

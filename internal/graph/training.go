@@ -76,15 +76,6 @@ type Iteration struct {
 	Optimizer []*Op
 }
 
-// Ops returns the concatenated execution sequence.
-func (it *Iteration) Ops() []*Op {
-	out := make([]*Op, 0, len(it.Forward)+len(it.Backward)+len(it.Optimizer))
-	out = append(out, it.Forward...)
-	out = append(out, it.Backward...)
-	out = append(out, it.Optimizer...)
-	return out
-}
-
 // ExpandTraining generates the full training iteration for a resolved forward
 // pass (§: tensor kinds matter — DTR may only rematerialize activations; the
 // optimizer phase touches weights, gradients, and moments).
@@ -172,28 +163,4 @@ func ExpandTraining(reg *tensor.Registry, r *Resolved, states []*WeightState, ad
 		it.Optimizer = append(it.Optimizer, NewOp(updName, flops, inputs, []*tensor.Meta{ws.Weight}))
 	}
 	return it
-}
-
-// ProducerMap maps each tensor ID to the index of the op (in ops) that
-// produces it, the structure DTR needs for recursive rematerialization.
-func ProducerMap(ops []*Op) map[int64]int {
-	m := map[int64]int{}
-	for i, op := range ops {
-		for _, out := range op.Outputs {
-			if _, ok := m[out.ID]; !ok {
-				m[out.ID] = i
-			}
-		}
-	}
-	return m
-}
-
-// IterationStats aggregates signature bookkeeping over a full iteration.
-func (it *Iteration) Stats() Stats {
-	var st Stats
-	for _, op := range it.Ops() {
-		st.OpCount++
-		st.Sig = st.Sig.Add(op.Sig)
-	}
-	return st
 }

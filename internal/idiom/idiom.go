@@ -55,13 +55,6 @@ const SigLen = 9
 // ar+br and ac+bc).
 type Signature [SigLen]float64
 
-// Counts returns just the six idiom counts.
-func (s Signature) Counts() [NumIdioms]float64 {
-	var c [NumIdioms]float64
-	copy(c[:], s[:NumIdioms])
-	return c
-}
-
 // WithDims returns a copy of s whose dimension elements (6–8) are the sums of
 // the leading dimensions of the given input shapes.
 func (s Signature) WithDims(inputShapes ...[]int) Signature {
@@ -83,17 +76,6 @@ func (s Signature) Add(o Signature) Signature {
 		out[i] = s[i] + o[i]
 	}
 	return out
-}
-
-// IsControlFlow reports whether the signature is the all-zero dummy row used
-// to mark a control statement in the AFM (§IV-A2).
-func (s Signature) IsControlFlow() bool {
-	for _, v := range s {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ControlFlowRow is the dummy AFM row marking a control statement.

@@ -39,7 +39,7 @@ func TestAnalyzeEachIdiom(t *testing.T) {
 }
 
 func TestAnalyzeMatmul(t *testing.T) {
-	k, ok := Default.Kernel("matmul")
+	k, ok := Default.kernels["matmul"]
 	if !ok {
 		t.Fatal("matmul not registered")
 	}
@@ -66,7 +66,7 @@ func TestRegisteredSignatures(t *testing.T) {
 	}
 	for name, want := range cases {
 		sig := Default.MustSignature(name)
-		got := sig.Counts()
+		got := [NumIdioms]float64(sig[:NumIdioms])
 		if got != want {
 			t.Errorf("%s counts = %v, want %v", name, got, want)
 		}
@@ -91,7 +91,7 @@ func TestAliasesShareSignatures(t *testing.T) {
 func TestRouterOpsConcentrate(t *testing.T) {
 	for i, name := range RouterOpNames {
 		sig := Default.MustSignature(name)
-		counts := sig.Counts()
+		counts := sig[:NumIdioms]
 		for j, c := range counts {
 			if j == i && c < 16 {
 				t.Errorf("%s column %d = %v, want large", name, j, c)
@@ -125,10 +125,10 @@ func TestSignatureAdd(t *testing.T) {
 }
 
 func TestControlFlowRow(t *testing.T) {
-	if !ControlFlowRow.IsControlFlow() {
+	if ControlFlowRow != (Signature{}) {
 		t.Error("ControlFlowRow must be all zero")
 	}
-	if Default.MustSignature("matmul").IsControlFlow() {
+	if Default.MustSignature("matmul") == (Signature{}) {
 		t.Error("matmul must not look like control flow")
 	}
 }
@@ -159,7 +159,7 @@ func TestRegistryUnknownOp(t *testing.T) {
 func TestGlobalIDsDense(t *testing.T) {
 	n := Default.NumOperators()
 	seen := make([]bool, n)
-	for _, name := range Default.Names() {
+	for _, name := range Default.ordered {
 		id, ok := Default.GlobalID(name)
 		if !ok || id < 0 || id >= n {
 			t.Fatalf("bad global ID for %s: %d", name, id)

@@ -2,7 +2,6 @@ package idiom
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -98,23 +97,6 @@ func (r *Registry) NumOperators() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.ordered)
-}
-
-// Names returns the registered operator names sorted alphabetically.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := append([]string(nil), r.ordered...)
-	sort.Strings(out)
-	return out
-}
-
-// Kernel returns the kernel description for an operator.
-func (r *Registry) Kernel(name string) (Kernel, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	k, ok := r.kernels[name]
-	return k, ok
 }
 
 // Default is the global registry pre-populated with the operator set used by

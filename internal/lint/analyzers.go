@@ -1,11 +1,11 @@
 package lint
 
-// All returns the full dynnlint analyzer suite in reporting order: the five
-// AST-shallow passes from the original linter, then the dataflow pass.
+// All returns the full dynnlint analyzer suite in reporting order: the four
+// AST-shallow passes, then the dataflow pass. Lock copies are go vet's
+// (copylocks), not dynnlint's.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Determinism, Lockcheck, Floatcmp, Errdiscipline, Panicfree,
-		Clockunits,
+		Determinism, Floatcmp, Errdiscipline, Panicfree, Clockunits,
 	}
 }
 

@@ -54,9 +54,7 @@ func (u unit) String() string {
 var methodUnits = map[string]map[string]map[string]unit{
 	gpusimPath: {
 		"Streams": {
-			"Now": unitSimNS, "Run": unitSimNS, "RunSpan": unitSimNS,
-			"Try": unitSimNS, "TrySpan": unitSimNS, "Busy": unitSimNS,
-			"RunCompute": unitSimNS, "RunH2D": unitSimNS, "RunD2H": unitSimNS,
+			"RunSpan": unitSimNS, "TrySpan": unitSimNS,
 		},
 		"Breakdown": {"TotalNS": unitSimNS, "DeviceNS": unitSimNS},
 	},

@@ -6,10 +6,6 @@ import (
 	"testing"
 )
 
-// moduleRoot is the repo root relative to this package, for fixtures whose
-// imports resolve against the real tree.
-var moduleRoot = filepath.Join("..", "..")
-
 // dataflowFixtures drives the dataflow analyzer fixture suites. Each fixture
 // loads at an import path that places it in the analyzer's scope and imports
 // production packages (gpusim, obsv) resolved from the real tree.
@@ -20,15 +16,6 @@ var dataflowFixtures = []struct {
 	{"clockunits", inScopePath},
 }
 
-func loadDataflowFixture(t *testing.T, rel, importPath string) *Package {
-	t.Helper()
-	pkg, err := LoadDirWithDeps(moduleRoot, filepath.Join("testdata", "src", rel), importPath)
-	if err != nil {
-		t.Fatalf("load fixture %s: %v", rel, err)
-	}
-	return pkg
-}
-
 // TestDataflowFlaggedFixtures checks each dataflow analyzer catches every
 // seeded violation, byte-for-byte against the golden expectations, and that
 // no other analyzer fires on the fixture.
@@ -36,8 +23,8 @@ func TestDataflowFlaggedFixtures(t *testing.T) {
 	for _, tc := range dataflowFixtures {
 		t.Run(tc.analyzer, func(t *testing.T) {
 			rel := filepath.Join(tc.analyzer, "flagged")
-			pkg := loadDataflowFixture(t, rel, tc.importPath)
-			got := render(Run([]*Package{pkg}, All()))
+			pkg := loadFixture(t, rel, tc.importPath)
+			got := render(lintFixture(pkg, All()))
 			diffLines(t, rel, got, readGolden(t, rel))
 			for _, line := range got {
 				if !strings.Contains(line, " "+tc.analyzer+": ") {
@@ -55,8 +42,8 @@ func TestDataflowCleanFixtures(t *testing.T) {
 	for _, tc := range dataflowFixtures {
 		t.Run(tc.analyzer, func(t *testing.T) {
 			rel := filepath.Join(tc.analyzer, "clean")
-			pkg := loadDataflowFixture(t, rel, tc.importPath)
-			if got := render(Run([]*Package{pkg}, All())); len(got) != 0 {
+			pkg := loadFixture(t, rel, tc.importPath)
+			if got := render(lintFixture(pkg, All())); len(got) != 0 {
 				t.Errorf("clean fixture produced findings:\n  %s", strings.Join(got, "\n  "))
 			}
 		})
@@ -69,8 +56,8 @@ func TestDataflowSuppressedFixtures(t *testing.T) {
 	for _, tc := range dataflowFixtures {
 		t.Run(tc.analyzer, func(t *testing.T) {
 			rel := filepath.Join(tc.analyzer, "suppressed")
-			pkg := loadDataflowFixture(t, rel, tc.importPath)
-			if got := render(Run([]*Package{pkg}, All())); len(got) != 0 {
+			pkg := loadFixture(t, rel, tc.importPath)
+			if got := render(lintFixture(pkg, All())); len(got) != 0 {
 				t.Errorf("suppressed fixture leaked findings:\n  %s", strings.Join(got, "\n  "))
 			}
 			// The violation must exist when the directive is ignored: rerun
@@ -84,8 +71,8 @@ func TestDataflowSuppressedFixtures(t *testing.T) {
 // outside their scope: nothing may fire.
 func TestDataflowAnalyzersScopeOut(t *testing.T) {
 	// clockunits is scoped to the deterministic packages.
-	pkg := loadDataflowFixture(t, filepath.Join("clockunits", "flagged"), outOfScopePath)
-	if got := render(Run([]*Package{pkg}, ByName([]string{"clockunits"}))); len(got) != 0 {
+	pkg := loadFixture(t, filepath.Join("clockunits", "flagged"), outOfScopePath)
+	if got := render(lintFixture(pkg, ByName([]string{"clockunits"}))); len(got) != 0 {
 		t.Errorf("clockunits fired outside the deterministic scope:\n  %s", strings.Join(got, "\n  "))
 	}
 }

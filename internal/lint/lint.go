@@ -1,9 +1,10 @@
 // Package lint is the dynnlint static-analysis framework: a pure-stdlib
 // (go/ast, go/parser, go/types) analyzer driver with project-specific passes
-// that enforce the repo's determinism, lock-safety, and error-discipline
-// contracts. The parallel epoch runtime promises bit-identical aggregates at
-// any worker count; these analyzers make that promise machine-checked instead
-// of review-checked.
+// that enforce the repo's determinism, float-comparison, error-discipline,
+// panic and clock-unit contracts (lock copies are go vet's copylocks check).
+// The parallel epoch runtime promises bit-identical aggregates at any worker
+// count; these analyzers make that promise machine-checked instead of
+// review-checked.
 //
 // Findings are suppressed with an inline directive on the offending line or
 // the line directly above it:
@@ -67,19 +68,6 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass)
-}
-
-// Run applies the analyzers to the loaded packages, filters suppressed
-// findings via //dynnlint:ignore directives, and returns the survivors
-// sorted by position. Malformed directives surface as findings from the
-// pseudo-analyzer "dynnlint" and cannot be suppressed.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	var all []Finding
-	for _, pkg := range pkgs {
-		all = append(all, runPackage(pkg, analyzers)...)
-	}
-	sortFindings(all)
-	return all
 }
 
 // runPackage applies the analyzers to one package and returns its surviving

@@ -16,13 +16,56 @@ const inScopePath = "dynnoffload/internal/core/fixture"
 // outOfScopePath places a fixture outside the deterministic scope.
 const outOfScopePath = "dynnoffload/internal/expt/fixture"
 
+// moduleRoot is the repo root relative to this package, for fixtures whose
+// imports resolve against the real tree.
+var moduleRoot = filepath.Join("..", "..")
+
+// loadFixture type-checks testdata/src/<rel> as importPath. Its module
+// imports (internal/gpusim, internal/obsv, ...) load from the real tree, so
+// type-driven analyzers see the production method sets; importPath places
+// the fixture inside or outside the path-scoped analyzers' scope.
 func loadFixture(t *testing.T, rel, importPath string) *Package {
 	t.Helper()
-	pkg, err := LoadDir(filepath.Join("testdata", "src", rel), importPath)
+	modPath, err := modulePath(filepath.Join(moduleRoot, "go.mod"))
 	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", rel, err)
+		t.Fatal(err)
+	}
+	l := NewLoader()
+	var load func(dir, path string) (*Package, error)
+	load = func(dir, path string) (*Package, error) {
+		p, err := l.parseDirAs(dir, path)
+		if err != nil {
+			return nil, err
+		}
+		if p == nil {
+			return nil, fmt.Errorf("no Go files in %s", dir)
+		}
+		for _, imp := range p.imports {
+			if _, done := l.lookup(imp); done || !pkgPathHasPrefix(imp, modPath) {
+				continue
+			}
+			rel := strings.TrimPrefix(strings.TrimPrefix(imp, modPath), "/")
+			dep, err := load(filepath.Join(moduleRoot, filepath.FromSlash(rel)), imp)
+			if err != nil {
+				return nil, err
+			}
+			l.store(dep)
+		}
+		return l.typeCheck(p)
+	}
+	pkg, err := load(filepath.Join("testdata", "src", rel), importPath)
+	if err != nil {
+		t.Fatalf("load fixture %s: %v", rel, err)
 	}
 	return pkg
+}
+
+// lintFixture runs the analyzers over one fixture package and returns its
+// surviving findings sorted by position.
+func lintFixture(pkg *Package, analyzers []*Analyzer) []Finding {
+	findings := runPackage(pkg, analyzers)
+	sortFindings(findings)
+	return findings
 }
 
 // render normalizes findings to the golden-file format: one
@@ -71,12 +114,12 @@ func TestFlaggedFixtures(t *testing.T) {
 	for _, tc := range []struct {
 		analyzer string
 	}{
-		{"determinism"}, {"lockcheck"}, {"floatcmp"}, {"errdiscipline"}, {"panicfree"},
+		{"determinism"}, {"floatcmp"}, {"errdiscipline"}, {"panicfree"},
 	} {
 		t.Run(tc.analyzer, func(t *testing.T) {
 			rel := filepath.Join(tc.analyzer, "flagged")
 			pkg := loadFixture(t, rel, inScopePath)
-			got := render(Run([]*Package{pkg}, All()))
+			got := render(lintFixture(pkg, All()))
 			diffLines(t, rel, got, readGolden(t, rel))
 			for _, line := range got {
 				if !strings.Contains(line, " "+tc.analyzer+": ") {
@@ -90,12 +133,12 @@ func TestFlaggedFixtures(t *testing.T) {
 // TestCleanFixtures checks every analyzer stays silent on the clean twins.
 func TestCleanFixtures(t *testing.T) {
 	for _, analyzer := range []string{
-		"determinism", "lockcheck", "floatcmp", "errdiscipline", "panicfree",
+		"determinism", "floatcmp", "errdiscipline", "panicfree",
 	} {
 		t.Run(analyzer, func(t *testing.T) {
 			rel := filepath.Join(analyzer, "clean")
 			pkg := loadFixture(t, rel, inScopePath)
-			if got := render(Run([]*Package{pkg}, All())); len(got) != 0 {
+			if got := render(lintFixture(pkg, All())); len(got) != 0 {
 				t.Errorf("clean fixture produced findings:\n  %s", strings.Join(got, "\n  "))
 			}
 		})
@@ -109,7 +152,7 @@ func TestScopedAnalyzersIgnoreOutOfScopePackages(t *testing.T) {
 	for _, analyzer := range []string{"determinism", "floatcmp"} {
 		rel := filepath.Join(analyzer, "flagged")
 		pkg := loadFixture(t, rel, outOfScopePath)
-		findings := Run([]*Package{pkg}, ByName([]string{analyzer}))
+		findings := lintFixture(pkg, ByName([]string{analyzer}))
 		if len(findings) != 0 {
 			t.Errorf("%s fired outside its scope:\n  %s",
 				analyzer, strings.Join(render(findings), "\n  "))
@@ -122,7 +165,7 @@ func TestScopedAnalyzersIgnoreOutOfScopePackages(t *testing.T) {
 // pseudo-analyzer while its target finding survives.
 func TestSuppressionDirectives(t *testing.T) {
 	pkg := loadFixture(t, "suppressed", inScopePath)
-	got := render(Run([]*Package{pkg}, All()))
+	got := render(lintFixture(pkg, All()))
 	diffLines(t, "suppressed", got, readGolden(t, "suppressed"))
 
 	joined := strings.Join(got, "\n")

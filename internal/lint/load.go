@@ -82,178 +82,11 @@ func (l *Loader) lookup(path string) (*Package, bool) {
 	return p, ok
 }
 
-// LoadModule expands patterns ("./...", "./internal/core", "cmd/dynnlint")
-// relative to root — the directory holding go.mod — and loads every matched
-// package in dependency order. Test files and testdata directories are
-// skipped: dynnlint checks the code that ships.
-func LoadModule(root string, patterns []string) ([]*Package, error) {
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	dirs, err := expandPatterns(root, patterns)
-	if err != nil {
-		return nil, err
-	}
-
-	l := NewLoader()
-	parsed := map[string]*parsedDir{}
-	var order []string // import paths with Go files, pattern order
-	for _, dir := range dirs {
-		p, err := l.parseDir(root, modPath, dir)
-		if err != nil {
-			return nil, err
-		}
-		if p == nil {
-			continue
-		}
-		parsed[p.path] = p
-		order = append(order, p.path)
-	}
-
-	// Type-check in dependency order: module-internal imports must be
-	// checked before their importers.
-	var out []*Package
-	checking := map[string]bool{}
-	var check func(path string) error
-	check = func(path string) error {
-		if _, done := l.pkgs[path]; done {
-			return nil
-		}
-		p, ok := parsed[path]
-		if !ok {
-			// A module-internal import outside the requested patterns:
-			// parse it on demand so the requested packages type-check.
-			rel := strings.TrimPrefix(path, modPath)
-			rel = strings.TrimPrefix(rel, "/")
-			var err error
-			p, err = l.parseDir(root, modPath, filepath.Join(root, rel))
-			if err != nil || p == nil {
-				return fmt.Errorf("lint: cannot load module import %q: %v", path, err)
-			}
-			parsed[path] = p
-		}
-		if checking[path] {
-			return fmt.Errorf("lint: import cycle through %q", path)
-		}
-		checking[path] = true
-		defer delete(checking, path)
-		for _, imp := range p.imports {
-			if imp == modPath || strings.HasPrefix(imp, modPath+"/") {
-				if err := check(imp); err != nil {
-					return err
-				}
-			}
-		}
-		pkg, err := l.typeCheck(p)
-		if err != nil {
-			return err
-		}
-		l.pkgs[path] = pkg
-		return nil
-	}
-	for _, path := range order {
-		if err := check(path); err != nil {
-			return nil, err
-		}
-	}
-	for _, path := range order {
-		out = append(out, l.pkgs[path])
-	}
-	return out, nil
-}
-
-// LoadDir type-checks a single directory as importPath. Fixture tests use it
-// to place testdata packages at chosen import paths so path-scoped analyzers
-// apply.
-func LoadDir(dir, importPath string) (*Package, error) {
-	l := NewLoader()
-	p, err := l.parseDirAs(dir, importPath)
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	return l.typeCheck(p)
-}
-
-// LoadDirWithDeps type-checks dir as importPath like LoadDir, but resolves
-// module-internal imports against the real tree rooted at root (the directory
-// holding go.mod). Fixture packages use it to import production packages such
-// as internal/gpusim or internal/obsv so type-driven analyzers see the real
-// method sets.
-func LoadDirWithDeps(root, dir, importPath string) (*Package, error) {
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	l := NewLoader()
-	checking := map[string]bool{}
-	var load func(ip string) error
-	load = func(ip string) error {
-		if _, ok := l.pkgs[ip]; ok {
-			return nil
-		}
-		if checking[ip] {
-			return fmt.Errorf("lint: import cycle through %q", ip)
-		}
-		checking[ip] = true
-		defer delete(checking, ip)
-		rel := strings.TrimPrefix(strings.TrimPrefix(ip, modPath), "/")
-		p, err := l.parseDirAs(filepath.Join(root, filepath.FromSlash(rel)), ip)
-		if err != nil || p == nil {
-			return fmt.Errorf("lint: cannot load module import %q: %v", ip, err)
-		}
-		for _, imp := range p.imports {
-			if imp == modPath || strings.HasPrefix(imp, modPath+"/") {
-				if err := load(imp); err != nil {
-					return err
-				}
-			}
-		}
-		pkg, err := l.typeCheck(p)
-		if err != nil {
-			return err
-		}
-		l.pkgs[ip] = pkg
-		return nil
-	}
-
-	p, err := l.parseDirAs(dir, importPath)
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	for _, imp := range p.imports {
-		if imp == modPath || strings.HasPrefix(imp, modPath+"/") {
-			if err := load(imp); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return l.typeCheck(p)
-}
-
 type parsedDir struct {
 	path    string
 	dir     string
 	files   []*ast.File
 	imports []string
-}
-
-func (l *Loader) parseDir(root, modPath, dir string) (*parsedDir, error) {
-	rel, err := filepath.Rel(root, dir)
-	if err != nil {
-		return nil, err
-	}
-	path := modPath
-	if rel != "." {
-		path = modPath + "/" + filepath.ToSlash(rel)
-	}
-	return l.parseDirAs(dir, path)
 }
 
 // isPackageFile reports whether the file name in dir is one of the

@@ -36,7 +36,7 @@ func HostShare(rep core.EpochReport) float64 {
 
 // Horizon keeps simulated stream times with simulated stream times.
 func Horizon(s *gpusim.Streams, ready, dur int64) int64 {
-	h2d := s.RunH2D(ready, dur)
-	compute := s.RunCompute(h2d, dur)
+	_, h2d := s.RunSpan(gpusim.LaneH2D, ready, dur)
+	_, compute := s.RunSpan(gpusim.LaneCompute, h2d, dur)
 	return compute - h2d
 }

@@ -13,7 +13,7 @@ import (
 // DeviceBudget compares the simulated busy horizon against a host stopwatch:
 // the two clocks must never meet.
 func DeviceBudget(s *gpusim.Streams, sw obsv.Stopwatch, ready, dur int64) bool {
-	busy := s.RunCompute(ready, dur)
+	_, busy := s.RunSpan(gpusim.LaneCompute, ready, dur)
 	host := sw.ElapsedNS()
 	return busy < host
 }

@@ -30,26 +30,6 @@ func Jaccard(a, b []bool) float64 {
 	return 1 - float64(inter)/float64(union)
 }
 
-// JaccardGeneralized returns the Jaccard distance treating each position as
-// a set element with a categorical value: positions disagreeing count
-// against similarity. This matches "each element indicates if a specific
-// control flow is taken or not" for multi-way decisions.
-func JaccardGeneralized(a, b []int) float64 {
-	if len(a) != len(b) {
-		panic("metrics: JaccardGeneralized length mismatch") //dynnlint:ignore panicfree length mismatch is a caller bug; fail fast like stdlib slice kernels
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	same := 0
-	for i := range a {
-		if a[i] == b[i] {
-			same++
-		}
-	}
-	return 1 - float64(same)/float64(len(a))
-}
-
 // Pearson returns the Pearson correlation coefficient of x and y.
 func Pearson(x, y []float64) float64 {
 	if len(x) != len(y) {

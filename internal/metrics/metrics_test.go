@@ -123,3 +123,23 @@ func TestPercentileInterpolation(t *testing.T) {
 		t.Errorf("P90 = %v, want 9", s.P90)
 	}
 }
+
+// JaccardGeneralized returns the Jaccard distance treating each position as
+// a set element with a categorical value: positions disagreeing count
+// against similarity. This matches "each element indicates if a specific
+// control flow is taken or not" for multi-way decisions.
+func JaccardGeneralized(a, b []int) float64 {
+	if len(a) != len(b) {
+		panic("metrics: JaccardGeneralized length mismatch")
+	}
+	if len(a) == 0 {
+		return 0
+	}
+	same := 0
+	for i := range a {
+		if a[i] == b[i] {
+			same++
+		}
+	}
+	return 1 - float64(same)/float64(len(a))
+}

@@ -204,3 +204,23 @@ func TestFusedTrainStepMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// OutByIn returns a copy of the weights transposed to Out×In row-major,
+// the order NewLayer draws them in.
+func (l *Layer) OutByIn() []float64 {
+	w := make([]float64, len(l.W))
+	transpose(w, l.W, l.In, l.Out)
+	return w
+}
+
+// SetOutByIn sets the weights from w, which is Out×In row-major.
+func (l *Layer) SetOutByIn(w []float64) { transpose(l.W, w, l.Out, l.In) }
+
+// transpose writes src, rows×cols row-major, into dst as cols×rows.
+func transpose(dst, src []float64, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : (r+1)*cols] {
+			dst[c*rows+r] = v
+		}
+	}
+}

@@ -117,26 +117,6 @@ func NewLayer(in, out int, act Activation, rng *mathx.RNG) *Layer {
 // Params returns the number of trainable parameters.
 func (l *Layer) Params() int { return len(l.W) + len(l.B) }
 
-// OutByIn returns a copy of the weights transposed to Out×In row-major,
-// the order NewLayer draws them in.
-func (l *Layer) OutByIn() []float64 {
-	w := make([]float64, len(l.W))
-	transpose(w, l.W, l.In, l.Out)
-	return w
-}
-
-// SetOutByIn sets the weights from w, which is Out×In row-major.
-func (l *Layer) SetOutByIn(w []float64) { transpose(l.W, w, l.Out, l.In) }
-
-// transpose writes src, rows×cols row-major, into dst as cols×rows.
-func transpose(dst, src []float64, rows, cols int) {
-	for r := 0; r < rows; r++ {
-		for c, v := range src[r*cols : (r+1)*cols] {
-			dst[c*rows+r] = v
-		}
-	}
-}
-
 // Forward computes the layer output into out (length Out). It only reads
 // the layer, so any number of Forward calls may run at once.
 func (l *Layer) Forward(in, out []float64) {
@@ -186,9 +166,6 @@ func (m *MLP) initScratch() {
 
 // InputSize returns the expected input width.
 func (m *MLP) InputSize() int { return m.Layers[0].In }
-
-// OutputSize returns the output width.
-func (m *MLP) OutputSize() int { return m.Layers[len(m.Layers)-1].Out }
 
 // Params returns the total number of trainable parameters.
 func (m *MLP) Params() int {
@@ -379,17 +356,6 @@ func (l *Layer) step(delta, x, below []float64, lr, mo float64) {
 			below[c] = s
 		}
 	}
-}
-
-// Loss returns the MSE of the network on (in, target) without updating.
-func (m *MLP) Loss(in, target []float64) float64 {
-	out := m.Forward(in)
-	var loss float64
-	for i, o := range out {
-		d := o - target[i]
-		loss += d * d
-	}
-	return loss / float64(len(out))
 }
 
 // Clone returns a deep copy of the weights (scratch buffers not shared) with

@@ -46,8 +46,8 @@ func TestActivationDerivNumerical(t *testing.T) {
 func TestMLPShapes(t *testing.T) {
 	rng := mathx.NewRNG(1)
 	m := NewMLP([]int{4, 8, 3}, LeakyReLU, rng)
-	if m.InputSize() != 4 || m.OutputSize() != 3 {
-		t.Fatalf("sizes: in=%d out=%d", m.InputSize(), m.OutputSize())
+	if out := m.Layers[len(m.Layers)-1].Out; m.InputSize() != 4 || out != 3 {
+		t.Fatalf("sizes: in=%d out=%d", m.InputSize(), out)
 	}
 	wantParams := 4*8 + 8 + 8*3 + 3
 	if m.Params() != wantParams {
@@ -234,4 +234,15 @@ func TestTrainStepFromZeroMatchesTrainStep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Loss returns the MSE of the network on (in, target) without updating.
+func (m *MLP) Loss(in, target []float64) float64 {
+	out := m.Forward(in)
+	var loss float64
+	for i, o := range out {
+		d := o - target[i]
+		loss += d * d
+	}
+	return loss / float64(len(out))
 }

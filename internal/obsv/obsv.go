@@ -8,7 +8,6 @@ package obsv
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,14 +312,6 @@ func (r *Recorder) Err() error {
 		return f.Flush()
 	}
 	return nil
-}
-
-// PhaseNames lists the phases observed so far, sorted.
-func (r *Recorder) PhaseNames() []string {
-	var names []string
-	r.phases.Range(func(k, _ any) bool { names = append(names, k.(string)); return true })
-	sort.Strings(names)
-	return names
 }
 
 func (r *Recorder) emit(ev Event) {

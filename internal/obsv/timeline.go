@@ -22,9 +22,6 @@ func NewTimeline(spans []Span, linkBWBytesPerSec float64) *Timeline {
 	return &Timeline{spans: spans, linkBW: linkBWBytesPerSec}
 }
 
-// Spans returns the underlying span set.
-func (t *Timeline) Spans() []Span { return t.spans }
-
 // OverlapStats summarizes how well migration hid behind compute — the
 // paper's bandwidth-overlap claim made measurable. HiddenNS is the portion
 // of transfer-lane busy time that ran concurrently with compute; Efficiency

@@ -279,7 +279,7 @@ func TestSerialTracerIgnoresSetBase(t *testing.T) {
 
 func TestNilTracerAndSampleTrace(t *testing.T) {
 	var tr *Tracer
-	if tr.Spans() != nil || tr.SampleCount() != 0 || tr.WallTime() {
+	if tr.Spans() != nil || tr.SampleCount() != 0 {
 		t.Error("nil tracer must report empty")
 	}
 	st := tr.Sample(3) // nil
@@ -311,7 +311,7 @@ func TestWallModeGating(t *testing.T) {
 	}
 
 	wall := NewTracer(WithWallTime())
-	if !wall.WallTime() {
+	if !wall.wall {
 		t.Fatal("WithWallTime not applied")
 	}
 	ws := wall.Sample(0)

@@ -51,9 +51,6 @@ func NewTracer(opts ...TracerOption) *Tracer {
 	return t
 }
 
-// WallTime reports whether wall-clock annotations are recorded.
-func (t *Tracer) WallTime() bool { return t != nil && t.wall }
-
 // AbsoluteTime reports whether samples are laid on one shared virtual clock
 // (WithAbsoluteTime) instead of the serial-equivalent offset layout.
 func (t *Tracer) AbsoluteTime() bool { return t != nil && t.absolute }

@@ -134,11 +134,9 @@ func (m *Memory) Add(ex *pilot.Example) {
 	m.seen++
 }
 
-// Len is the number of live entries; Cap the fixed capacity; Seen the
-// all-time observation count.
-func (m *Memory) Len() int    { return len(m.ents) }
-func (m *Memory) Cap() int    { return m.capacity }
-func (m *Memory) Seen() int64 { return m.seen }
+// Len is the number of live entries; Cap the fixed capacity.
+func (m *Memory) Len() int { return len(m.ents) }
+func (m *Memory) Cap() int { return m.capacity }
 
 // Sample draws min(n, Len) entries without replacement using rng — a seeded
 // permutation prefix, so a fixed rng state yields a fixed minibatch.
@@ -320,29 +318,6 @@ func (l *Learner) retrain(p *pilot.Pilot, mem *Memory, rng *mathx.RNG, headOnly 
 	cost := l.cfg.RetrainCostNS * int64(len(batch)) * int64(l.cfg.Epochs)
 	l.retrainNS += cost
 	return cost, nil
-}
-
-// SharedPilot returns the online-refined shared pilot, or nil if no retrain
-// has fired yet. The persistence path saves it with the learner's metadata.
-func (l *Learner) SharedPilot() *pilot.Pilot {
-	if l == nil {
-		return nil
-	}
-	return l.shared
-}
-
-// Meta returns the replay-ring provenance for pilot.SaveWithMeta: capacity,
-// observed count, retrain count, and the training interval.
-func (l *Learner) Meta() map[string]string {
-	if l == nil {
-		return nil
-	}
-	return map[string]string{
-		"online.memory_cap":        fmt.Sprint(l.mem.Cap()),
-		"online.observed":          fmt.Sprint(l.observed),
-		"online.retrains":          fmt.Sprint(l.retrains),
-		"online.training_interval": fmt.Sprint(l.cfg.TrainingInterval),
-	}
 }
 
 // Stats snapshots the run's online-learning summary (nil receiver → nil, so

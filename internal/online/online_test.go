@@ -34,8 +34,8 @@ func TestMemoryRingWraparound(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		m.Add(exs[i])
 	}
-	if m.Len() != 4 || m.Cap() != 4 || m.Seen() != 6 {
-		t.Fatalf("Len=%d Cap=%d Seen=%d, want 4/4/6", m.Len(), m.Cap(), m.Seen())
+	if m.Len() != 4 || m.Cap() != 4 || m.seen != 6 {
+		t.Fatalf("Len=%d Cap=%d Seen=%d, want 4/4/6", m.Len(), m.Cap(), m.seen)
 	}
 	// DROO's seen%capacity rule: entries 4 and 5 overwrote slots 0 and 1.
 	want := []*pilot.Example{exs[4], exs[5], exs[2], exs[3]}
@@ -205,14 +205,14 @@ func TestAdapterWarmup(t *testing.T) {
 	if a0 == a1 {
 		t.Fatal("cold tenant 1 must not share tenant 0's adapter")
 	}
-	if a1 != l.SharedPilot() {
+	if a1 != l.shared {
 		t.Fatal("cold tenant must fall back to the shared pilot")
 	}
 	if s := l.Stats(); s.AdapterTenants != 1 {
 		t.Fatalf("AdapterTenants = %d, want 1", s.AdapterTenants)
 	}
 	// Out-of-range tenants degrade to the shared pilot rather than panic.
-	if l.PilotFor(-1) != l.SharedPilot() || l.PilotFor(7) != l.SharedPilot() {
+	if l.PilotFor(-1) != l.shared || l.PilotFor(7) != l.shared {
 		t.Fatal("out-of-range tenant must use the shared pilot")
 	}
 }

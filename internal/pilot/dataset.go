@@ -149,6 +149,29 @@ func AnalyzePaths(m dynn.Model, cm gpusim.CostModel) ([]*PathInfo, error) {
 	return infos, nil
 }
 
+// PressurePlatform shrinks plat's GPU to fraction of the model's largest
+// path footprint, reproducing the paper's "model larger than GPU memory"
+// regime at any scale. The budget never drops below what double-buffering
+// the largest single operator requires (9/4 of it) nor below 1 MiB, and host
+// memory grows to 8× the footprint to hold the offloaded remainder. Only the
+// paths' analyses are read (AnalyzePaths): nothing is partitioned or
+// labelled.
+func PressurePlatform(m dynn.Model, plat gpusim.Platform, fraction float64) (gpusim.Platform, error) {
+	paths, err := AnalyzePaths(m, gpusim.NewCostModel(plat))
+	if err != nil {
+		return plat, err
+	}
+	var maxPeak, maxOp int64
+	for _, info := range paths {
+		maxPeak = max(maxPeak, info.Analysis.PeakResidentBytes())
+		maxOp = max(maxOp, info.Analysis.MaxSingleOpBytes())
+	}
+	budget := max(int64(fraction*float64(maxPeak)), 9*maxOp/4, 1<<20)
+	p := plat.WithMemory(budget)
+	p.CPUMemBytes = 8 * maxPeak
+	return p, nil
+}
+
 // planKey renders the compact plan-sharing key: a versioned 128-bit digest of
 // the path signature and the context fingerprint (see PathInfo.PlanKey). The
 // "ph1\x00" prefix versions the hash construction and keeps the digest
@@ -232,21 +255,6 @@ func (ctx *ModelContext) TruthPath(s *dynn.Sample) (*PathInfo, error) {
 		return nil, fmt.Errorf("pilot: %s: sample %d resolves to unknown path", ctx.Model.Name(), s.ID)
 	}
 	return info, nil
-}
-
-// AggregateFromLabel converts a (predicted) label vector into the aggregate
-// bookkeeping record used for path matching: element 0 sums to the operator
-// count, elements 1..9 of each row sum into the signature aggregate.
-func AggregateFromLabel(label []float64) graph.Stats {
-	var st graph.Stats
-	for off := 0; off+sentinel.DescriptorLen <= len(label); off += sentinel.DescriptorLen {
-		row := label[off : off+sentinel.DescriptorLen]
-		st.OpCount += int(row[0] + 0.5)
-		for k := 0; k < 9; k++ {
-			st.Sig[k] += row[1+k]
-		}
-	}
-	return st
 }
 
 // Example is one pilot-training sample (§IV-D): features from (sample, AFM,

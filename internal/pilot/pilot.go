@@ -337,22 +337,6 @@ func (p *Pilot) Refine(examples []*Example, rc RefineConfig) (float64, error) {
 	return lastLoss, nil
 }
 
-// Predict runs one inference: it returns the denormalized label vector (the
-// execution-block descriptor rows) and the measured inference latency — the
-// paper's ~30 µs overhead per training sample (§VI-C). It fails with
-// ErrNotTrained before Train.
-func (p *Pilot) Predict(base dynn.BaseType, features []float64) ([]float64, time.Duration, error) {
-	if !p.Trained() {
-		return nil, 0, fmt.Errorf("pilot: Predict before Train: %w", ErrNotTrained)
-	}
-	sw := obsv.StartTimer()
-	raw, buf := p.inferNorm(base, features)
-	out := make([]float64, len(raw))
-	denormalize(raw, p.labelMean, p.labelStd, out)
-	p.scratch.Put(buf)
-	return out, sw.Elapsed(), nil
-}
-
 // inferNorm normalizes features and runs the base type's MLP on them in
 // pooled scratch. The returned normalized output aliases *buf; the caller
 // puts buf back into p.scratch once it is done with the output.
@@ -578,16 +562,6 @@ func (p *Pilot) Evaluate(examples []*Example) (EvalReport, error) {
 	rep.Accuracy = float64(correct) / float64(len(examples))
 	rep.MeanLatency = time.Duration(totalLatNS / int64(len(examples)))
 	return rep, nil
-}
-
-// MappingOverhead measures the output→path mapping cost (§VI-C: 10–15 µs)
-// for one example. It fails with ErrNotTrained before Train.
-func (p *Pilot) MappingOverhead(e *Example) (time.Duration, error) {
-	res, err := p.Resolve(e)
-	if err != nil {
-		return 0, err
-	}
-	return time.Duration(res.MapNS), nil
 }
 
 // String describes the pilot briefly.

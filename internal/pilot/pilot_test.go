@@ -3,12 +3,15 @@ package pilot
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"dynnoffload/internal/dynn"
 	"dynnoffload/internal/gpusim"
 	"dynnoffload/internal/graph"
+	"dynnoffload/internal/obsv"
 	"dynnoffload/internal/sentinel"
 )
 
@@ -105,21 +108,6 @@ func TestClampBlocks(t *testing.T) {
 	}
 }
 
-func TestAggregateFromLabel(t *testing.T) {
-	label := make([]float64, 2*sentinel.DescriptorLen)
-	label[0] = 3  // block 1: 3 ops
-	label[1] = 2  // 2 transposes
-	label[10] = 4 // block 2: 4 ops
-	label[11] = 1
-	st := AggregateFromLabel(label)
-	if st.OpCount != 7 {
-		t.Errorf("op count = %d", st.OpCount)
-	}
-	if st.Sig[0] != 3 {
-		t.Errorf("transpose sum = %v", st.Sig[0])
-	}
-}
-
 func TestTruthPath(t *testing.T) {
 	m := dynn.NewVarLSTM(dynn.VarLSTMConfig{Hidden: 32, Batch: 2, Seed: 2})
 	cm := gpusim.NewCostModel(gpusim.RTXPlatform())
@@ -157,9 +145,6 @@ func TestUntrainedPilotErrors(t *testing.T) {
 	}
 	if _, err := p.Evaluate(exs); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("Evaluate err = %v, want ErrNotTrained", err)
-	}
-	if _, err := p.MappingOverhead(exs[0]); !errors.Is(err, ErrNotTrained) {
-		t.Errorf("MappingOverhead err = %v, want ErrNotTrained", err)
 	}
 	if err := p.Save(io.Discard); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("Save err = %v, want ErrNotTrained", err)
@@ -278,4 +263,19 @@ func TestVersionAdvancesOnWeightUpdates(t *testing.T) {
 	if p.Version() == v1 {
 		t.Error("Refine did not advance the version")
 	}
+}
+
+// Predict runs one inference outside Resolve: it returns the denormalized
+// label vector (the execution-block descriptor rows) and the measured
+// inference latency. It fails with ErrNotTrained before Train.
+func (p *Pilot) Predict(base dynn.BaseType, features []float64) ([]float64, time.Duration, error) {
+	if !p.Trained() {
+		return nil, 0, fmt.Errorf("pilot: Predict before Train: %w", ErrNotTrained)
+	}
+	sw := obsv.StartTimer()
+	raw, buf := p.inferNorm(base, features)
+	out := make([]float64, len(raw))
+	denormalize(raw, p.labelMean, p.labelStd, out)
+	p.scratch.Put(buf)
+	return out, sw.Elapsed(), nil
 }

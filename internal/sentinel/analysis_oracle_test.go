@@ -32,10 +32,13 @@ type mapAnalysis struct {
 func newMapAnalysis(tr *trace.Trace, cm gpusim.CostModel) *mapAnalysis {
 	a := &mapAnalysis{
 		Analysis: NewAnalysis(tr, cm),
-		bytesOf:  tr.TensorBytes(),
+		bytesOf:  map[int64]int64{},
 		firstUse: map[int64]int{},
 		lastUse:  map[int64]int{},
 		producer: map[int64]int{},
+	}
+	for _, t := range tr.Tensors {
+		a.bytesOf[t.ID] = t.Bytes
 	}
 	for i, r := range tr.Records {
 		for _, id := range r.Inputs {
@@ -200,6 +203,14 @@ func (a *mapAnalysis) MaxSingleOpBytes() int64 {
 
 func (a *mapAnalysis) BytesOf(id int64) int64 { return a.bytesOf[id] }
 
+// workingIDs lists the distinct tensors a block touches, in first-reference
+// order: the order BlockPlan.WorkingIDs records.
+func workingIDs(a *Analysis, b Block) []int64 {
+	var out []int64
+	a.forEachTensor(b, func(x int32) { out = append(out, a.ids[x]) })
+	return out
+}
+
 func (a *mapAnalysis) WorkingIDs(b Block) []int64 {
 	var out []int64
 	a.forEachTensor(b, func(id int64) { out = append(out, id) })
@@ -220,8 +231,10 @@ func (a *mapAnalysis) Producer(id int64) int {
 	return -1
 }
 
-// PipelineEstimate, Partition and refine are partition.go's, answered from
-// the oracle's map queries.
+// PipelineEstimate simulates the schedule as a two-clock event loop (the
+// migration and compute engines advance block by block), an independent
+// reference for partition.go's closed form. Partition and refine are
+// partition.go's. All three answer from the oracle's map queries.
 func (a *mapAnalysis) PipelineEstimate(blocks []Block) (totalNS, exposedNS int64) {
 	if len(blocks) == 0 {
 		return 0, 0
@@ -392,11 +405,16 @@ func compareAnalyses(t *testing.T, where string, tr *trace.Trace, cm gpusim.Cost
 			check(fmt.Sprintf("PipelineEstimate(Partition(%d))", budget), [2]int64{gt, ge}, [2]int64{wt, we})
 		}
 	}
+	for _, p := range [][]Block{got.EvenOps(3), got.EvenTime(5)} {
+		gt, ge := got.PipelineEstimate(p)
+		wt, we := want.PipelineEstimate(p)
+		check(fmt.Sprintf("PipelineEstimate(%v)", p), [2]int64{gt, ge}, [2]int64{wt, we})
+	}
 	prev := Block{}
 	for _, b := range blocks {
 		what := fmt.Sprintf("block %v", b)
 		check(what+" WorkingBytes", got.WorkingBytes(b), want.WorkingBytes(b))
-		check(what+" WorkingIDs", got.WorkingIDs(b), want.WorkingIDs(b))
+		check(what+" WorkingIDs", workingIDs(got, b), want.WorkingIDs(b))
 		check(what+" FetchBytes", got.FetchBytes(b, prev), want.FetchBytes(b, prev))
 		for _, after := range []int{0, b.Start, b.End, (b.End + n) / 2, n} {
 			check(fmt.Sprintf("%s EvictBytes(after %d)", what, after), got.EvictBytes(b, after), want.EvictBytes(b, after))

@@ -7,47 +7,35 @@ package sentinel
 // PipelineEstimate models the double-buffered execution of a partition
 // (§IV-E): block i's compute starts once its prefetch completed; at the start
 // of block i the migration engine retires block i-1's buffer (evict first,
-// then prefetch block i+1, serialized to avoid fragmentation). It returns the
-// estimated total time and the exposed (stalling) migration time.
+// then prefetch block i+1, serialized to avoid fragmentation). Both engines
+// advance from block i's start, so block i+1 starts max(C_i, X_i) later,
+// where C_i is block i's compute and X_i = xfer(evict of block i-1) +
+// xfer(fetch of block i+1). Over K blocks, with F_0 block 0's fetch:
+//
+//	total   = xfer(F_0) + Σ_{i<K-1} max(C_i, X_i) + C_{K-1}
+//	exposed = xfer(F_0) + Σ_{i<K-1} max(0, X_i - C_i)
+//
+// The migration engine is idle by the last block's start, so no write-back
+// is exposed past the last compute. The fault-free DES
+// (core.Engine.SimulatePartition) runs the same schedule, event by event.
 func (a *Analysis) PipelineEstimate(blocks []Block) (totalNS, exposedNS int64) {
 	if len(blocks) == 0 {
 		return 0, 0
 	}
-	none := Block{}
-	var mig int64 // migration engine busy-until
-	var cmp int64 // compute busy-until
-
-	// Initial prefetch of block 0.
-	mig = a.CM.BatchedXferTime(a.FetchBytes(blocks[0], none))
-	for i := range blocks {
-		start := mig
-		if cmp > start {
-			start = cmp
+	fetch0 := a.CM.BatchedXferTime(a.FetchBytes(blocks[0], Block{}))
+	totalNS, exposedNS = fetch0, fetch0
+	last := len(blocks) - 1
+	for i, b := range blocks[:last] {
+		var evict int64
+		if i > 0 {
+			evict = a.EvictBytes(blocks[i-1], blocks[i+1].Start)
 		}
-		if start > cmp {
-			exposedNS += start - cmp
-		}
-		// Kick the migration for block i+1 at the start of block i.
-		if i+1 < len(blocks) {
-			var evict int64
-			if i > 0 {
-				evict = a.EvictBytes(blocks[i-1], blocks[i+1].Start)
-			}
-			fetch := a.FetchBytes(blocks[i+1], blocks[i])
-			dur := a.CM.BatchedXferTime(evict) + a.CM.BatchedXferTime(fetch)
-			ms := mig
-			if start > ms {
-				ms = start
-			}
-			mig = ms + dur
-		}
-		cmp = start + a.ComputeNS(blocks[i])
+		x := a.CM.BatchedXferTime(evict) + a.CM.BatchedXferTime(a.FetchBytes(blocks[i+1], b))
+		c := a.ComputeNS(b)
+		totalNS += max(c, x)
+		exposedNS += max(0, x-c)
 	}
-	if mig > cmp { // trailing write-back exposed at iteration end
-		exposedNS += mig - cmp
-		cmp = mig
-	}
-	return cmp, exposedNS
+	return totalNS + a.ComputeNS(blocks[last]), exposedNS
 }
 
 // Partition computes the Sentinel execution-block partition for the given

@@ -343,13 +343,6 @@ func (a *Analysis) BytesOf(id int64) int64 {
 	return 0
 }
 
-// WorkingIDs lists the distinct tensors a block touches.
-func (a *Analysis) WorkingIDs(b Block) []int64 {
-	var out []int64
-	a.forEachTensor(b, func(x int32) { out = append(out, a.ids[x]) })
-	return out
-}
-
 // LastUse returns the op index of a tensor's final reference (-1 if never).
 func (a *Analysis) LastUse(id int64) int {
 	if x, ok := a.index[id]; ok {

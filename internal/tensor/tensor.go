@@ -92,14 +92,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Rematerializable reports whether a tensor of this kind can be recomputed
-// from its parents. Only activations (and scratch workspace) can; weights,
-// optimizer states, constants and inputs have no producing operator inside
-// the iteration.
-func (k Kind) Rematerializable() bool {
-	return k == Activation || k == Workspace
-}
-
 // Meta describes one tensor.
 type Meta struct {
 	ID    int64

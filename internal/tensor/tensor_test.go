@@ -30,20 +30,6 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-func TestRematerializable(t *testing.T) {
-	if !Activation.Rematerializable() {
-		t.Error("activations must be rematerializable")
-	}
-	if !Workspace.Rematerializable() {
-		t.Error("workspace must be rematerializable")
-	}
-	for _, k := range []Kind{Input, Weight, Gradient, OptState, Constant} {
-		if k.Rematerializable() {
-			t.Errorf("%v must not be rematerializable", k)
-		}
-	}
-}
-
 func TestMetaBytes(t *testing.T) {
 	var r Registry
 	m := r.New("x", Activation, F32, 2, 3, 4)

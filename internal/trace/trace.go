@@ -7,7 +7,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"dynnoffload/internal/gpusim"
@@ -114,29 +113,11 @@ func (tr *Trace) TotalBytes() int64 {
 	return b
 }
 
-// TensorBytes returns a lookup of tensor ID to size.
-func (tr *Trace) TensorBytes() map[int64]int64 {
-	m := make(map[int64]int64, len(tr.Tensors))
-	for _, t := range tr.Tensors {
-		m[t.ID] = t.Bytes
-	}
-	return m
-}
-
 // WriteJSON serializes the trace.
 func (tr *Trace) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(tr)
-}
-
-// ReadJSON parses a trace written by WriteJSON.
-func ReadJSON(r io.Reader) (*Trace, error) {
-	var tr Trace
-	if err := json.NewDecoder(r).Decode(&tr); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	return &tr, nil
 }
 
 // TensorKinds returns a lookup of tensor ID to kind.
