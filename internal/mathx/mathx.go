@@ -24,8 +24,8 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// useAVX selects MatVecT's assembly body. It is haveAVX; tests clear it to
-// run the pure-Go body on an AVX host.
+// useAVX selects the assembly bodies of MatVecT and SqDist16. It is
+// haveAVX; tests clear it to run the pure-Go bodies on an AVX host.
 var useAVX = haveAVX
 
 // MatVecT computes out = Aᵀ·x where A is rows×cols row-major and x has rows
@@ -68,6 +68,67 @@ func matVecTGo(a []float64, rows, cols int, x, out []float64) {
 			out[c] += v * xr
 		}
 	}
+}
+
+// Lanes is the number of vectors SqDist16 scores in one pass.
+const Lanes = 16
+
+// SqDist16 writes into out the squared Euclidean distances from pred to 16
+// vectors of len(pred) elements each, which block holds lane-interleaved:
+// element k of vector ℓ is block[k*Lanes+ℓ]. It is the pilot's output→path
+// match, one group of 16 candidate paths per call.
+//
+// Each distance is summed over the elements in order, from +0, as
+// d += t*t with t = pred[k] − block[k*Lanes+ℓ], every product rounded
+// before it is added, so the bits are those of a plain left-to-right loop.
+// At every rowLen-element boundary, and at the end, the call stops and
+// reports abandoned once all 16 partial sums are >= bound: the remaining
+// terms are non-negative and rounding is monotone, so no full sum could end
+// strictly below bound. out then holds the partial sums. A NaN bound never
+// abandons. On amd64 CPUs with AVX it runs as assembly that keeps the 16
+// sums in four vector registers; the subtract, multiply and add stay
+// separate instructions, so the bits are those of the pure-Go body.
+func SqDist16(block, pred []float64, rowLen int, bound float64, out *[Lanes]float64) (abandoned bool) {
+	if len(block) != Lanes*len(pred) || rowLen < 1 {
+		panic("mathx: SqDist16 shape mismatch") //dynnlint:ignore panicfree shape mismatch is a caller bug; hot-path kernel fails fast like stdlib
+	}
+	rowLen = min(rowLen, len(pred)) // one row either way; keeps row ends from overflowing
+	if useAVX {
+		return sqDist16AVX(block, pred, rowLen, bound, out)
+	}
+	return sqDist16Go(block, pred, rowLen, bound, out)
+}
+
+// sqDist16Go is SqDist16's pure-Go body and the oracle for the assembly
+// one. It keeps the d += t*t shape, so a GOARCH that fuses multiply-adds
+// fuses here exactly where a plain distance loop does.
+func sqDist16Go(block, pred []float64, rowLen int, bound float64, out *[Lanes]float64) bool {
+	var d [Lanes]float64
+	for j := 0; j < len(pred); j += rowLen {
+		for k := j; k < min(j+rowLen, len(pred)); k++ {
+			v := pred[k]
+			for l, x := range block[k*Lanes : (k+1)*Lanes] {
+				t := v - x
+				d[l] += t * t
+			}
+		}
+		if allAtLeast(&d, bound) {
+			*out = d
+			return true
+		}
+	}
+	*out = d
+	return false
+}
+
+// allAtLeast reports whether every d[l] >= bound; NaNs compare false.
+func allAtLeast(d *[Lanes]float64, bound float64) bool {
+	for _, v := range d {
+		if !(v >= bound) {
+			return false
+		}
+	}
+	return true
 }
 
 // L2 returns the Euclidean norm of x.

@@ -13,3 +13,9 @@ func cpuHasAVX() bool
 //
 //go:noescape
 func matVecTAVX(a []float64, rows, cols int, x, out []float64)
+
+// sqDist16AVX is SqDist16's AVX body. It takes the shapes SqDist16 has
+// already checked.
+//
+//go:noescape
+func sqDist16AVX(block, pred []float64, rowLen int, bound float64, out *[Lanes]float64) bool

@@ -3,6 +3,7 @@ package pilot
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -90,10 +91,11 @@ type Pilot struct {
 	// pilot's normalized label space, where output→path matching happens:
 	// standardization amplifies exactly the dimensions that discriminate
 	// paths, making the match robust to regression noise on the large
-	// non-discriminative descriptor elements. Each context's labels sit
-	// back to back in one paths×width slice, the layout nearestPath scans.
-	// Guarded by normMu so Resolve is safe to call from many goroutines at
-	// once.
+	// non-discriminative descriptor elements. Each context's labels sit in
+	// one lane-interleaved slice, the layout nearestPath scans (see
+	// pathLabelsNorm). A slice is never written once inserted, so Clone
+	// shares them. Guarded by normMu so Resolve is safe to call from many
+	// goroutines at once.
 	normMu     sync.RWMutex
 	normLabels map[*ModelContext][]float64
 
@@ -245,12 +247,12 @@ func (p *Pilot) Trained() bool { return p.featMean != nil }
 // request. Like Resolve, it must not run concurrently with Train or Refine.
 func (p *Pilot) Version() uint64 { return p.version }
 
-// Clone returns a copy of the pilot: scaler copies, a fresh normalized-label
-// cache, and the MLPs, which the two pilots share copy-on-write, so
-// training either one leaves the other unchanged. A clone starts without
-// momentum, as a loaded pilot does. The online learner refines a clone so
-// the serving feedback loop never mutates the offline-trained pilot the
-// training engines share.
+// Clone returns a copy of the pilot: scaler copies, a copy of the
+// normalized-label cache's map (sharing its slices), and the MLPs, which
+// the two pilots share copy-on-write, so training either one leaves the
+// other unchanged. A clone starts without momentum, as a loaded pilot does.
+// The online learner refines a clone so the serving feedback loop never
+// mutates the offline-trained pilot the training engines share.
 func (p *Pilot) Clone() *Pilot {
 	c := &Pilot{Cfg: p.Cfg, scratch: new(sync.Pool)}
 	for i, m := range p.mlps {
@@ -264,7 +266,12 @@ func (p *Pilot) Clone() *Pilot {
 	c.labelMean = append([]float64(nil), p.labelMean...)
 	c.labelStd = append([]float64(nil), p.labelStd...)
 	if p.Trained() {
-		c.normLabels = map[*ModelContext][]float64{}
+		// The cached slices are never written, and they stay valid for the
+		// clone: its label scalers are bit-for-bit copies, Refine never
+		// refits them, and Train replaces the map.
+		p.normMu.RLock()
+		c.normLabels = maps.Clone(p.normLabels)
+		p.normMu.RUnlock()
 	}
 	return c
 }
@@ -365,10 +372,13 @@ type Resolution struct {
 // units) below which a match counts as exact.
 const exactMatchRMS = 0.35
 
-// pathLabelsNorm returns (building on first use) the context's path labels in
-// the pilot's normalized label space, back to back in one paths×width slice.
-// Safe for concurrent use: the projection is computed outside the lock and
-// the first writer wins.
+// pathLabelsNorm returns (building on first use) the context's path labels
+// in the pilot's normalized label space, in the layout nearestPath scans:
+// lane-interleaved groups of mathx.Lanes paths, element k of path
+// g·Lanes+ℓ at [(g·width+k)·Lanes+ℓ]. A partial last group's padding lanes
+// copy the group's first path, so their partial sums equal its own and
+// never change the early-exit decision. Safe for concurrent use: the
+// projection is computed outside the lock and the first writer wins.
 func (p *Pilot) pathLabelsNorm(ctx *ModelContext) []float64 {
 	p.normMu.RLock()
 	cached, ok := p.normLabels[ctx]
@@ -376,18 +386,38 @@ func (p *Pilot) pathLabelsNorm(ctx *ModelContext) []float64 {
 	if ok {
 		return cached
 	}
-	var out []float64
-	for _, info := range ctx.Paths {
-		n := len(out)
-		out = append(out, info.Label...)
-		normalize(info.Label, p.labelMean, p.labelStd, out[n:])
-	}
+	out := interleaveNorm(ctx.Paths, p.labelMean, p.labelStd)
 	p.normMu.Lock()
 	defer p.normMu.Unlock()
 	if cached, ok := p.normLabels[ctx]; ok {
 		return cached
 	}
 	p.normLabels[ctx] = out
+	return out
+}
+
+// interleaveNorm normalizes every path's label straight into its lane of
+// pathLabelsNorm's layout, with normalize's expression, in one allocation.
+func interleaveNorm(paths []*PathInfo, mean, std []float64) []float64 {
+	if len(paths) == 0 {
+		return nil
+	}
+	const lanes = mathx.Lanes
+	w := len(paths[0].Label)
+	groups := (len(paths) + lanes - 1) / lanes
+	out := make([]float64, groups*lanes*w)
+	for g := 0; g < groups; g++ {
+		block := out[g*lanes*w : (g+1)*lanes*w]
+		for l := 0; l < lanes; l++ {
+			i := g*lanes + l
+			if i >= len(paths) {
+				i = g * lanes
+			}
+			for k, x := range paths[i].Label {
+				block[k*lanes+l] = (x - mean[k]) / std[k]
+			}
+		}
+	}
 	return out
 }
 
@@ -422,58 +452,40 @@ func (p *Pilot) Resolve(e *Example) (Resolution, error) {
 
 // nearestPath returns the index of the path label nearest pred in squared
 // Euclidean distance, with that distance, or (-1, 0) when n is 0. labels
-// holds n labels of equal width back to back; pred may be longer than the
-// width, and only its first width elements are compared.
+// holds n labels of equal width in pathLabelsNorm's layout: lane-interleaved
+// groups of mathx.Lanes, the last group padded to full. pred may be longer
+// than the width, and only its first width elements are compared.
 //
 // The result, index and distance bits alike, equals a naive scan that sums
 // each candidate's squared differences left to right and keeps the first
-// strictly smaller one. Each candidate here is summed in that same order and
-// ties still go to the lowest index. Four candidates share a pass, and at
-// every descriptor-row boundary the pass abandons the group once all four
-// partial sums are >= the best distance so far: the remaining terms are
+// strictly smaller one. mathx.SqDist16 scores a group of 16 candidates per
+// call, each summed in that same order, and nearestPath commits the group's
+// lanes in index order, so ties still go to the lowest index. At every
+// descriptor-row boundary the kernel abandons the group once all 16 partial
+// sums are >= the best distance so far: the remaining terms are
 // non-negative and rounding is monotone, so no full sum could come out
-// strictly smaller.
+// strictly smaller. Before the first commit the bound is NaN, which never
+// abandons.
 func nearestPath(labels []float64, n int, pred []float64) (int, float64) {
 	if n == 0 {
 		return -1, 0
 	}
-	w := len(labels) / n
+	groups := (n + mathx.Lanes - 1) / mathx.Lanes
+	w := len(labels) / (groups * mathx.Lanes)
 	pred = pred[:w]
 	best, bestDist := -1, 0.0
-groups:
-	for i := 0; i < n; i += 4 {
-		// Lanes past the last path re-score path i: their partial sums
-		// equal d0, so they never change the early-exit test, and they are
-		// never committed.
-		c0 := labels[i*w : (i+1)*w]
-		c1, c2, c3 := c0, c0, c0
-		if i+1 < n {
-			c1 = labels[(i+1)*w : (i+2)*w]
+	var d [mathx.Lanes]float64
+	for g := 0; g < groups; g++ {
+		bound := bestDist
+		if best < 0 {
+			bound = math.NaN()
 		}
-		if i+2 < n {
-			c2 = labels[(i+2)*w : (i+3)*w]
+		if mathx.SqDist16(labels[g*w*mathx.Lanes:(g+1)*w*mathx.Lanes], pred, sentinel.DescriptorLen, bound, &d) {
+			continue
 		}
-		if i+3 < n {
-			c3 = labels[(i+3)*w : (i+4)*w]
-		}
-		var d0, d1, d2, d3 float64
-		for j := 0; j < w; j += sentinel.DescriptorLen {
-			row := pred[j:min(j+sentinel.DescriptorLen, w)]
-			r0, r1, r2, r3 := c0[j:][:len(row)], c1[j:][:len(row)], c2[j:][:len(row)], c3[j:][:len(row)]
-			for k, v := range row {
-				t0, t1, t2, t3 := v-r0[k], v-r1[k], v-r2[k], v-r3[k]
-				d0 += t0 * t0
-				d1 += t1 * t1
-				d2 += t2 * t2
-				d3 += t3 * t3
-			}
-			if best >= 0 && d0 >= bestDist && d1 >= bestDist && d2 >= bestDist && d3 >= bestDist {
-				continue groups
-			}
-		}
-		for k, d := range [4]float64{d0, d1, d2, d3} {
-			if i+k < n && (best < 0 || d < bestDist) {
-				best, bestDist = i+k, d
+		for l, dist := range d[:min(mathx.Lanes, n-g*mathx.Lanes)] {
+			if best < 0 || dist < bestDist {
+				best, bestDist = g*mathx.Lanes+l, dist
 			}
 		}
 	}
