@@ -97,12 +97,17 @@ cover:
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit !(t+0 >= min+0) }' || \
 		{ echo "coverage below $(COVER_MIN)%"; exit 1; }
 
-# Timeline-tracing smoke: record a small traced epoch, validate the Chrome
-# Trace Event file, and render the overlap report. Leaves trace.json behind
-# for inspection / CI artifact upload.
+# Timeline-tracing smoke: record a small traced epoch, record the same epoch
+# again at one worker and require the two files to be byte-identical (a
+# trace is a pure function of the simulated run), validate the Chrome Trace
+# Event file, and render the overlap report. Leaves trace.json behind for
+# inspection / CI artifact upload.
 trace:
 	$(GO) run ./cmd/dynnbench -trace trace.json -model Tree-LSTM \
 		-train 200 -test 40 -epochs 4 -workers 2
+	$(GO) run ./cmd/dynnbench -trace trace-1w.json -model Tree-LSTM \
+		-train 200 -test 40 -epochs 4 -workers 1
+	cmp trace.json trace-1w.json
 	$(GO) run ./cmd/dynntrace -check trace.json
 	$(GO) run ./cmd/dynntrace trace.json
 

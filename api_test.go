@@ -121,41 +121,6 @@ func TestRunnerInterface(t *testing.T) {
 	}
 }
 
-// TestRunnerRegistration: downstream policies plug into the registry and
-// resolve through System.Runner like the built-ins.
-func TestRunnerRegistration(t *testing.T) {
-	RegisterRunner("test-noop", func(s *System) (Runner, error) {
-		return &noopRunner{}, nil
-	})
-	model := NewVarLSTM(VarLSTMConfig{Hidden: 16, Batch: 1, Seed: 1})
-	sys, err := NewSystem(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := sys.Runner("test-noop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exs, err := sys.Examples(GenerateSamples(1, 1, 8, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bd, err := r.RunIteration(exs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bd.ComputeNS != 42 {
-		t.Errorf("custom runner not used: %+v", bd)
-	}
-}
-
-type noopRunner struct{}
-
-func (noopRunner) Name() string { return "test-noop" }
-func (noopRunner) RunIteration(*PilotExample) (Breakdown, error) {
-	return Breakdown{ComputeNS: 42}, nil
-}
-
 // TestSentinelErrors: failures surface as typed errors callers can match.
 func TestSentinelErrors(t *testing.T) {
 	model := NewVarLSTM(VarLSTMConfig{Hidden: 16, Batch: 1, Seed: 1})

@@ -173,7 +173,7 @@ func (s *System) cluster(cs clusterSettings) (*Cluster, error) {
 }
 
 // System exposes the underlying single-device system (pilot training,
-// tracing, runner registry).
+// tracing, runners).
 func (c *Cluster) System() *System { return c.sys }
 
 // GPUs reports the cluster width.

@@ -36,14 +36,13 @@ func main() {
 		epochs      = flag.Int("epochs", 0, "pilot training epochs")
 		batch       = flag.Int("batch", 0, "DyNN batch size")
 		seed        = flag.Uint64("seed", 42, "experiment seed")
-		workers     = flag.Int("workers", 0, "epoch worker pool size for DyNN-Offload epochs (0 = serial, -1 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "epoch worker pool size for DyNN-Offload epochs (0 = one worker, -1 = GOMAXPROCS)")
 		stats       = flag.String("stats", "", "write per-sample JSONL observability events to this file")
 		statsJSON   = flag.String("statsjson", "", "write aggregate per-model RunStats JSON for the parallel experiment to this file")
 		faultSpec   = flag.String("faults", "", "deterministic fault injection, e.g. seed=7,rate=0.05[,stall=4]")
 		clusterJSON = flag.String("clusterjson", "", "write the clustersweep capacity curves (QPS vs GPU count per model) as JSON to this file")
 		traceFile   = flag.String("trace", "", "run one traced epoch of -model and write a Chrome Trace Event Format JSON file (Perfetto-loadable); skips -exp")
 		model       = flag.String("model", "Tree-LSTM", "zoo model for -trace")
-		traceWall   = flag.Bool("tracewall", false, "annotate the -trace spans with wall-clock worker data (trace is then not bit-identical across runs)")
 		serve       = flag.String("serve", "", "serve live Prometheus metrics and net/http/pprof on this address (e.g. :8080) while experiments run, then block")
 	)
 	flag.Parse()
@@ -109,7 +108,7 @@ func main() {
 
 	var err error
 	if *traceFile != "" {
-		err = runTrace(*traceFile, *model, opts, *traceWall, reg)
+		err = runTrace(*traceFile, *model, opts, reg)
 	} else {
 		err = run(*exp, opts, sink, *statsJSON, *clusterJSON)
 	}
@@ -125,18 +124,14 @@ func main() {
 
 // runTrace runs one traced epoch of the named zoo model and writes the span
 // set as a Chrome Trace Event Format file, printing the overlap summary.
-func runTrace(path, model string, opts expt.Options, wall bool, reg *obsv.Registry) error {
+func runTrace(path, model string, opts expt.Options, reg *obsv.Registry) error {
 	fmt.Printf("building %s bench + pilot...\n", model)
 	wb, err := expt.NewSingleModelWorkbench(model, opts)
 	if err != nil {
 		return err
 	}
 	mb := wb.Models[0]
-	var topts []obsv.TracerOption
-	if wall {
-		topts = append(topts, obsv.WithWallTime())
-	}
-	tracer := obsv.NewTracer(topts...)
+	tracer := obsv.NewTracer()
 	rec := obsv.NewRecorder(model, opts.Workers, nil)
 	reg.Register(rec)
 	eng := wb.Engine(mb)
@@ -171,8 +166,8 @@ func runTrace(path, model string, opts expt.Options, wall bool, reg *obsv.Regist
 	return nil
 }
 
-// printList writes the experiment and runner registries — the same sources
-// the -exp dispatch and usage string are built from.
+// printList writes the experiment registry and the runner names — the same
+// sources the -exp dispatch and usage string are built from.
 func printList(out *os.File) {
 	fmt.Fprintln(out, "experiments (-exp, * = in '-exp all'):")
 	for _, e := range expt.Experiments() {

@@ -53,7 +53,7 @@ var (
 	ErrUnknownPath = core.ErrUnknownPath
 	// ErrCapacityExceeded: the path cannot run under the platform's memory.
 	ErrCapacityExceeded = core.ErrCapacityExceeded
-	// ErrUnknownRunner: the policy name is not in the runner registry.
+	// ErrUnknownRunner: the policy name is not a built-in runner.
 	ErrUnknownRunner = errors.New("dynnoffload: unknown runner")
 	// ErrModelRequired: NewSystem needs a non-nil model.
 	ErrModelRequired = errors.New("dynnoffload: model is required")
@@ -130,8 +130,9 @@ type SystemConfig struct {
 	// PilotConfig configures the pilot trained by TrainPilot, which must be
 	// called before TrainEpoch.
 	PilotConfig pilot.Config
-	// Workers sizes TrainEpoch's worker pool: 0 runs serially, <0 uses
-	// GOMAXPROCS. Epoch aggregates are identical at any setting.
+	// Workers sizes TrainEpoch's worker pool: 0 runs one worker on the
+	// caller's goroutine, <0 uses GOMAXPROCS. Epoch aggregates are identical
+	// at any setting.
 	Workers int
 	// Faults configures deterministic fault injection into the simulated
 	// device (zero Rate disables it). The engine recovers via bounded
@@ -164,7 +165,7 @@ func WithPlatform(p Platform) Option { return func(c *SystemConfig) { c.Platform
 // WithPilotConfig configures the pilot trained by TrainPilot.
 func WithPilotConfig(pc PilotConfig) Option { return func(c *SystemConfig) { c.PilotConfig = pc } }
 
-// WithWorkers sizes TrainEpoch's worker pool: 0 serial, <0 GOMAXPROCS.
+// WithWorkers sizes TrainEpoch's worker pool: 0 one worker, <0 GOMAXPROCS.
 func WithWorkers(n int) Option { return func(c *SystemConfig) { c.Workers = n } }
 
 // WithFaultInjection enables deterministic fault injection at the given seed
@@ -313,8 +314,8 @@ type RunStats = obsv.RunStats
 
 // TrainEpoch simulates DyNN-Offload training over the samples (one
 // iteration each) and aggregates time, traffic, and mis-predictions. With
-// WithWorkers(n != 0) the epoch fans out across the parallel runtime;
-// aggregates are identical to the serial run.
+// WithWorkers(n) the epoch fans out across n workers; aggregates are
+// identical at any worker count. On error the report is zero.
 func (s *System) TrainEpoch(samples []*dynn.Sample) (EpochReport, error) {
 	return s.TrainEpochStats(samples, nil)
 }
@@ -328,9 +329,6 @@ func (s *System) TrainEpochStats(samples []*dynn.Sample, rec *obsv.Recorder) (Ep
 	exs, err := s.Examples(samples)
 	if err != nil {
 		return EpochReport{}, err
-	}
-	if s.cfg.Workers == 0 && rec == nil {
-		return s.engine.RunEpoch(exs)
 	}
 	workers := s.cfg.Workers
 	if workers == 0 {
@@ -355,14 +353,14 @@ func (s *System) CacheStats() core.CacheStats {
 	return s.engine.CacheStats()
 }
 
-// Runner-registry names of the built-in memory-management policies. Resolve
-// one with System.Runner; comparison loops range over RunnerNames().
+// Names of the built-in memory-management policies. Resolve one with
+// System.Runner; comparison loops range over RunnerNames().
 const (
 	PyTorch     = "pytorch"
 	UVM         = "uvm"
 	DTR         = "dtr"
 	ZeROOffload = "zero-offload"
-	// DyNNOffload is the paper's system itself, registered alongside the
+	// DyNNOffload is the paper's system itself, a runner alongside the
 	// baselines so comparison loops can range over every runner uniformly.
 	DyNNOffload = "dynn-offload"
 )

@@ -53,7 +53,7 @@ func main() {
 	}
 	fmt.Printf("dynn-offload epoch: %s\n", rep.Breakdown)
 
-	// 5. Compare one iteration against the baselines via the runner registry.
+	// 5. Compare one iteration against the baselines through System.Runner.
 	sample := testSet[0]
 	exs, err := sys.Examples([]*dynnoffload.Sample{sample})
 	if err != nil {

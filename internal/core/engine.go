@@ -269,13 +269,12 @@ func (e *Engine) simulate(d decision, fs *faults.Stream, st *obsv.SampleTrace) (
 	return e.simulatePipelined(plan, fs, st)
 }
 
-// runStep is the per-sample step every execution path (RunSample, RunBatch,
-// ParallelRunEpoch) ends in: trace the sample's pilot instants and outcome,
-// simulate the decided sample under its fault stream, and fold the
-// recovery counters into its result. The pilot and mapping stopwatches stay
-// in PilotNS/MappingNS: Breakdown holds simulated time only. st and rec may
-// be nil; idx is the sample's index as the recorder reports it. Safe to run
-// concurrently for distinct samples.
+// runStep is phase 3 of the sample pipeline (run): trace the sample's pilot
+// instants and outcome, simulate the decided sample under its fault stream,
+// and fold the recovery counters into its result. The pilot and mapping
+// stopwatches stay in PilotNS/MappingNS: Breakdown holds simulated time
+// only. st and rec may be nil; idx is the sample's index as the recorder
+// reports it. Safe to run concurrently for distinct samples.
 func (e *Engine) runStep(ex *pilot.Example, r *pilot.Resolution, d decision,
 	st *obsv.SampleTrace, rec *obsv.Recorder, idx int) (SampleResult, error) {
 	res := SampleResult{
@@ -286,19 +285,16 @@ func (e *Engine) runStep(ex *pilot.Example, r *pilot.Resolution, d decision,
 	}
 	simSW := obsv.StartTimer()
 	fs := e.faultStream(ex)
-	var err error
-	st.TimeWall(func() {
-		// Pilot inference and mapping run on the host in wall time, outside
-		// the DES clocks — they trace as simulated-time instants (see
-		// SpanPilot).
-		st.Instant(obsv.SpanPilot, res.PilotNS)
-		st.Instant(obsv.SpanMapping, res.MappingNS)
-		st.Outcome(res.Mispredicted, res.CacheHit)
-		res.Breakdown, err = e.simulate(d, fs, st)
-	})
+	// Pilot inference and mapping run on the host in wall time, outside the
+	// DES clocks — they trace as simulated-time instants (see SpanPilot).
+	st.Instant(obsv.SpanPilot)
+	st.Instant(obsv.SpanMapping)
+	st.Outcome(res.Mispredicted, res.CacheHit)
+	bd, err := e.simulate(d, fs, st)
 	if err != nil {
 		return res, err
 	}
+	res.Breakdown = bd
 	res.FaultCounters = fs.Counters()
 	if rec != nil {
 		rec.ObservePhase(PhaseSimulate, simSW.ElapsedNS())
@@ -308,31 +304,6 @@ func (e *Engine) runStep(ex *pilot.Example, r *pilot.Resolution, d decision,
 		}
 	}
 	return res, nil
-}
-
-// RunSample simulates one training iteration: pilot inference, output→path
-// mapping, mis-prediction check, and double-buffered (or on-demand) execution
-// of the sample's ground-truth iteration. Safe for concurrent use; note that
-// under concurrency the cache interleaving (and so individual CacheHit flags)
-// depends on scheduling — use ParallelRunEpoch for deterministic epoch
-// aggregates.
-func (e *Engine) RunSample(ex *pilot.Example) (SampleResult, error) {
-	if e.Pilot == nil {
-		return SampleResult{}, ErrPilotNotTrained
-	}
-	resolutions, errs := e.resolveAll([]*pilot.Example{ex}, &EpochOptions{}, 1)
-	resolution := resolutions[0]
-	if err := errs[0]; err != nil {
-		if errors.Is(err, pilot.ErrNotTrained) {
-			return SampleResult{}, ErrPilotNotTrained
-		}
-		return SampleResult{}, fmt.Errorf("core: resolve: %w", err)
-	}
-	d, err := e.decide(ex, &resolution)
-	if err != nil {
-		return SampleResult{}, err
-	}
-	return e.runStep(ex, &resolution, d, nil, nil, 0)
 }
 
 // checkCapacity enforces the offloading feasibility bound: all tensors must
@@ -353,20 +324,6 @@ func (e *Engine) checkCapacity(info *pilot.PathInfo) error {
 // workBufferBytes is half of GPU memory: the double-buffer split (§IV-E,
 // "GPU memory is partitioned into two equal-sized buffers").
 func (e *Engine) workBufferBytes() int64 { return e.Cfg.Platform.GPU.MemBytes / 2 }
-
-// RunEpoch simulates one epoch (one iteration per example) serially and
-// aggregates. ParallelRunEpoch produces the same report on any worker count.
-func (e *Engine) RunEpoch(examples []*pilot.Example) (EpochReport, error) {
-	var rep EpochReport
-	for _, ex := range examples {
-		r, err := e.RunSample(ex)
-		if err != nil {
-			return rep, err
-		}
-		rep.Add(r)
-	}
-	return rep, nil
-}
 
 // CacheStats reports the mis-prediction cache's hit/miss/insert counters and
 // its entry count.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dynnoffload/internal/obsv"
+	"dynnoffload/internal/pilot"
 )
 
 // TestParallelEpochDeterminism: ParallelRunEpoch must produce the same epoch
@@ -223,4 +224,83 @@ func TestParallelEpochSpeedup(t *testing.T) {
 		}
 	}
 	t.Errorf("4-worker epoch only %.2fx faster than 1 worker, want >=1.5x", best)
+}
+
+// TestEpochErrorContract: RunEpoch, ParallelRunEpoch at 1 and 4 workers and
+// RunBatch share one error contract. A sample that fails in the serial
+// decision pass (an unknown truth path) stops it there: every entry point
+// returns a zero report (nil results) and the same error, and the
+// mis-prediction cache holds exactly the decisions of the samples before
+// it. (No simulation failure is planted: once a sample passes the capacity
+// check, evict-and-retry always makes room.)
+func TestEpochErrorContract(t *testing.T) {
+	var b *propBench
+	for _, pb := range propModels(t) {
+		if pb.name == "Tree-CNN" {
+			b = pb
+		}
+	}
+	if b == nil {
+		t.Fatal("no Tree-CNN bench")
+	}
+	type outcome struct {
+		rep   EpochReport
+		err   error
+		cache CacheStats
+	}
+	runAll := func(cfg Config, exs []*pilot.Example) []outcome {
+		var out []outcome
+		for _, workers := range []int{0, 1, 4, -4} {
+			eng := NewEngine(cfg, b.p)
+			var o outcome
+			switch {
+			case workers == 0:
+				o.rep, o.err = eng.RunEpoch(exs)
+			case workers < 0:
+				var rs []SampleResult
+				rs, o.err = eng.RunBatch(exs, EpochOptions{Workers: -workers})
+				if rs != nil {
+					t.Errorf("RunBatch returned %d results with error %v", len(rs), o.err)
+				}
+			default:
+				o.rep, o.err = eng.ParallelRunEpoch(exs, EpochOptions{Workers: workers})
+			}
+			o.cache = eng.CacheStats()
+			out = append(out, o)
+		}
+		return out
+	}
+	check := func(name string, got []outcome, want error) {
+		for i, o := range got {
+			if o.rep != (EpochReport{}) {
+				t.Errorf("%s run %d: non-zero report after error: %+v", name, i, o.rep)
+			}
+			if !errors.Is(o.err, want) {
+				t.Errorf("%s run %d: err = %v, want %v", name, i, o.err, want)
+			}
+			if o.err != nil && got[0].err != nil && o.err.Error() != got[0].err.Error() {
+				t.Errorf("%s run %d: err %q, RunEpoch's %q", name, i, o.err, got[0].err)
+			}
+			if o.cache != got[0].cache {
+				t.Errorf("%s run %d: cache %+v, RunEpoch's %+v", name, i, o.cache, got[0].cache)
+			}
+		}
+	}
+
+	// Decision failure at index k.
+	const k = 9
+	exs := append([]*pilot.Example(nil), b.test...)
+	bad := *exs[k]
+	bad.TruthKey = "no-such-path"
+	exs[k] = &bad
+	got := runAll(DefaultConfig(b.plat), exs)
+	check("decide", got, ErrUnknownPath)
+	prefix := NewEngine(DefaultConfig(b.plat), b.p)
+	if _, err := prefix.RunEpoch(exs[:k]); err != nil {
+		t.Fatal(err)
+	}
+	// The failing sample's own cache lookup counts; it inserts nothing.
+	if c, want := got[0].cache, prefix.CacheStats(); c.Inserts != want.Inserts || c.Entries != want.Entries {
+		t.Errorf("decide: cache %+v, want the first %d samples' inserts and entries %+v", c, k, want)
+	}
 }

@@ -70,8 +70,7 @@ func (m *ResolutionMemo) store(ex *pilot.Example, p *pilot.Pilot, v uint64, res 
 	m.entries[ex.Sample.ID] = append(ents, ent)
 }
 
-// resolveAll is phase 1 of every execution path (RunSample, RunBatch,
-// ParallelRunEpoch): pilot inference and output→path mapping for exs, sample
+// resolveAll is phase 1 of the sample pipeline (run): pilot inference and output→path mapping for exs, sample
 // i through pilotFor(opts, i), with per-index errors. With the resolution
 // memo on (Config.MemoizeSamples), a serial prologue answers every request
 // whose (sample, pilot, version) is memoized, only the misses fan out
@@ -97,7 +96,7 @@ func (e *Engine) resolveAll(exs []*pilot.Example, opts *EpochOptions, workers in
 		}
 		miss = append(miss, i)
 	}
-	fanOut(len(miss), min(workers, len(miss)), func(k, _ int) {
+	fanOut(len(miss), min(workers, len(miss)), func(k int) {
 		i := miss[k]
 		resolutions[i], errs[i] = e.pilotFor(opts, i).Resolve(exs[i])
 		if rec != nil && errs[i] == nil {

@@ -119,8 +119,9 @@ type Options struct {
 	// GPU.
 	PressureFraction float64
 	// Workers sizes the epoch worker pool for DyNN-Offload epochs: 0 runs
-	// serially, <0 uses GOMAXPROCS. Results are identical at any setting
-	// (the parallel runtime is deterministic); only wall clock changes.
+	// one worker on the caller's goroutine, <0 uses GOMAXPROCS. Results are
+	// identical at any setting (the sample pipeline is deterministic); only
+	// wall clock changes.
 	Workers int
 	// Faults configures deterministic fault injection for DyNN-Offload
 	// engines built by the workbench (zero Rate disables it). FaultSweep
@@ -245,13 +246,9 @@ func (wb *Workbench) Engine(mb *ModelBench) *core.Engine {
 	return core.NewEngine(cfg, wb.Pilot)
 }
 
-// runEpoch executes an epoch serially or, when Options.Workers is set, on
-// the parallel runtime (identical aggregates either way).
+// runEpoch runs an untraced epoch of mb.Test (see TracedEpoch).
 func (wb *Workbench) runEpoch(eng *core.Engine, mb *ModelBench) (core.EpochReport, error) {
-	if wb.Opts.Workers == 0 {
-		return eng.RunEpoch(mb.Test)
-	}
-	return eng.ParallelRunEpoch(mb.Test, core.EpochOptions{Workers: wb.Opts.Workers})
+	return wb.TracedEpoch(eng, mb, nil)
 }
 
 // epochBaseline simulates an epoch under a per-path-cached baseline policy.

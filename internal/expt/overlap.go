@@ -29,9 +29,10 @@ func NewSingleModelWorkbench(name string, opts Options) (*Workbench, error) {
 	return nil, fmt.Errorf("expt: unknown zoo model %q", name)
 }
 
-// TracedEpoch runs one epoch of mb.Test on the parallel runtime with span
-// tracing attached. Options.Workers sizes the pool (0 runs one worker); the
-// span set is identical at any setting unless the tracer is in wall mode.
+// TracedEpoch runs one epoch of mb.Test on the engine's sample pipeline
+// with span tracing attached (a nil tracer traces nothing).
+// Options.Workers sizes the pool (0 runs one worker); the report and the
+// span set are identical at any setting.
 func (wb *Workbench) TracedEpoch(eng *core.Engine, mb *ModelBench, tracer *obsv.Tracer) (core.EpochReport, error) {
 	workers := wb.Opts.Workers
 	if workers == 0 {

@@ -83,7 +83,7 @@ var fieldUnits = map[string]map[string]map[string]unit{
 		"Streams": {"Compute": unitSimNS, "H2D": unitSimNS, "D2H": unitSimNS},
 	},
 	obsvPath: {
-		"Span": {"StartNS": unitSimNS, "DurNS": unitSimNS, "WallNS": unitWallNS},
+		"Span": {"StartNS": unitSimNS, "DurNS": unitSimNS},
 		"AttributionComponents": {
 			"QueueNS": unitSimNS, "QuotaNS": unitSimNS, "PilotNS": unitSimNS,
 			"PilotRetrainNS": unitSimNS,

@@ -13,10 +13,9 @@ import (
 // Span tracing records what the end-of-epoch aggregates cannot show: *when*,
 // on the simulated DES clock, each prefetch, compute interval, eviction, and
 // recovery step ran, so overlap ("did the transfer hide behind compute?") is
-// measured rather than inferred. Spans are dual-clock: simulated nanoseconds
-// are authoritative and deterministic — the same span set replays bit-for-bit
-// at any worker count — while wall-clock annotations (worker id, host
-// latency) are opt-in and excluded from the deterministic trace.
+// measured rather than inferred. Spans carry simulated nanoseconds only, so
+// the same span set replays bit-for-bit at any worker count; host wall time
+// (pilot inference, mapping) lives in the sample results, not the trace.
 
 // SpanKind classifies one traced interval of a sample's execution.
 type SpanKind string
@@ -27,7 +26,7 @@ const (
 	SpanSample SpanKind = "sample"
 	// SpanPilot marks one pilot prediction. Pilot inference is measured in
 	// host wall time, not DES time, so the span is an instant on the
-	// simulated clock; its wall duration appears only in wall mode.
+	// simulated clock.
 	SpanPilot SpanKind = "pilot"
 	// SpanMapping marks the pilot output→path mapping (instant, like pilot).
 	SpanMapping SpanKind = "mapping"
@@ -94,10 +93,6 @@ type Span struct {
 	Request int64  `json:"request,omitempty"`
 	Tenant  string `json:"tenant,omitempty"`
 	Replica int    `json:"replica,omitempty"`
-	// Wall-clock annotations, populated only when the Tracer runs in wall
-	// mode (non-deterministic; excluded from the deterministic trace).
-	Worker int   `json:"worker,omitempty"`
-	WallNS int64 `json:"wall_ns,omitempty"`
 }
 
 // End returns the span's end time on its clock.
@@ -109,11 +104,8 @@ func (s Span) End() int64 { return s.StartNS + s.DurNS }
 // faults.Stream.
 type SampleTrace struct {
 	sample   int
-	wall     bool
 	absolute bool
 	base     int64
-	worker   int
-	wallNS   int64
 	outcome  outcome
 	request  int64
 	tenant   string
@@ -186,22 +178,17 @@ func (st *SampleTrace) SetReplica(r int) {
 	}
 }
 
-// Instant records a zero-duration marker at simulated t=0 whose real cost is
-// host wall time (pilot inference, output mapping). The wall duration is
-// kept only in wall mode so deterministic traces stay bit-identical.
-func (st *SampleTrace) Instant(kind SpanKind, wallNS int64) {
+// Instant records a zero-duration marker at simulated t=0 for a host-side
+// step whose real cost is wall time (pilot inference, output mapping); that
+// cost lives in the sample's result, never in the trace.
+func (st *SampleTrace) Instant(kind SpanKind) {
 	if st == nil {
 		return
 	}
-	sp := Span{
+	st.spans = append(st.spans, Span{
 		Sample: st.sample, Kind: kind, Lane: LaneHost, Block: -1, StartNS: st.base,
 		Request: st.request, Tenant: st.tenant, Replica: st.replica,
-	}
-	if st.wall {
-		sp.WallNS = wallNS
-		sp.Worker = st.worker
-	}
-	st.spans = append(st.spans, sp)
+	})
 }
 
 // Outcome tags the sample's envelope with its prediction outcome.
@@ -283,8 +270,6 @@ type chromeArgs struct {
 	Request      int64    `json:"request,omitempty"`
 	Tenant       string   `json:"tenant,omitempty"`
 	Replica      int      `json:"replica,omitempty"`
-	Worker       int      `json:"worker,omitempty"`
-	WallNS       int64    `json:"wall_ns,omitempty"`
 	Name         string   `json:"name,omitempty"` // metadata events only
 }
 
@@ -373,7 +358,6 @@ func WriteChromeTrace(w io.Writer, spans []Span, meta ChromeMeta) error {
 			Sample: sp.Sample, Kind: sp.Kind, Bytes: sp.Bytes, Attempt: sp.Attempt,
 			Mispredicted: sp.Mispredicted, CacheHit: sp.CacheHit,
 			Request: sp.Request, Tenant: sp.Tenant, Replica: sp.Replica,
-			Worker: sp.Worker, WallNS: sp.WallNS,
 		}
 		if sp.Block >= 0 {
 			b := sp.Block
@@ -477,8 +461,6 @@ func ReadChromeTrace(r io.Reader) ([]Span, ChromeMeta, error) {
 			sp.Request = ev.Args.Request
 			sp.Tenant = ev.Args.Tenant
 			sp.Replica = ev.Args.Replica
-			sp.Worker = ev.Args.Worker
-			sp.WallNS = ev.Args.WallNS
 		}
 		spans = append(spans, sp)
 	}

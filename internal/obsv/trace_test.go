@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // traceFixture covers every span kind and argument field the Chrome export
@@ -163,7 +162,7 @@ func spansOf(data []byte) []Span {
 			Bytes: int64(b[12]) << 20, Attempt: int(b[13] % 4),
 			Mispredicted: b[13]&0x10 != 0, CacheHit: b[13]&0x20 != 0,
 			Request: int64(int8(b[14])), Tenant: tenants[int(b[14])%len(tenants)],
-			Replica: int(b[15] % 3), Worker: int(b[15] >> 6), WallNS: int64(b[15]) * 1000,
+			Replica: int(b[15] % 3),
 		})
 	}
 	return spans
@@ -257,7 +256,7 @@ func TestSerialTracerIgnoresSetBase(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			st := tr.Sample(i)
 			st.SetBase(baseNS)
-			st.Instant(SpanPilot, 0)
+			st.Instant(SpanPilot)
 			st.Span(SpanCompute, LaneCompute, 0, 0, int64(100*(i+1)), 0)
 			st.Span(SpanEvict, LaneD2H, 0, 50, 20, 64)
 		}
@@ -287,54 +286,8 @@ func TestNilTracerAndSampleTrace(t *testing.T) {
 	// unconditionally on untraced runs.
 	st.Span(SpanCompute, LaneCompute, 0, 0, 10, 0)
 	st.Retry(LaneH2D, 0, 0, 10, 0, 1)
-	st.Instant(SpanPilot, 100)
+	st.Instant(SpanPilot)
 	st.Outcome(true, true)
-	st.SetWorker(2)
-	called := false
-	st.TimeWall(func() { called = true })
-	if !called {
-		t.Error("nil SampleTrace.TimeWall must still run its function")
-	}
-}
-
-func TestWallModeGating(t *testing.T) {
-	// Default mode: worker ids and wall durations never reach the span set,
-	// keeping the trace free of scheduling-dependent fields.
-	det := NewTracer()
-	st := det.Sample(0)
-	st.SetWorker(5)
-	st.TimeWall(func() { st.Instant(SpanPilot, 12345) })
-	for _, sp := range det.Spans() {
-		if sp.Worker != 0 || sp.WallNS != 0 {
-			t.Errorf("deterministic trace carries wall fields: %+v", sp)
-		}
-	}
-
-	wall := NewTracer(WithWallTime())
-	if !wall.wall {
-		t.Fatal("WithWallTime not applied")
-	}
-	ws := wall.Sample(0)
-	ws.SetWorker(5)
-	ws.TimeWall(func() {
-		ws.Instant(SpanPilot, 12345)
-		time.Sleep(time.Millisecond)
-	})
-	var found, envelope bool
-	for _, sp := range wall.Spans() {
-		if sp.Kind == SpanPilot && sp.Worker == 5 && sp.WallNS == 12345 {
-			found = true
-		}
-		if sp.Kind == SpanSample && sp.WallNS >= int64(time.Millisecond) {
-			envelope = true
-		}
-	}
-	if !found {
-		t.Error("wall mode dropped worker/wall annotations")
-	}
-	if !envelope {
-		t.Error("wall mode did not record the TimeWall envelope on the sample span")
-	}
 }
 
 func TestSortSpans(t *testing.T) {

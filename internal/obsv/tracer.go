@@ -10,13 +10,10 @@ import (
 // exactly one worker goroutine; the Tracer itself only guards the registry,
 // so tracing adds no synchronization to the simulation hot path.
 //
-// Determinism contract: with wall mode off (the default), Spans() is a pure
-// function of the epoch's simulated execution — bit-identical across runs
-// and worker counts, exactly like the epoch aggregates. Wall mode
-// (WithWallTime) additionally tags spans with worker ids and host latencies,
-// which are scheduling-dependent and therefore non-deterministic.
+// Determinism contract: Spans() is a pure function of the epoch's simulated
+// execution — bit-identical across runs and worker counts, exactly like the
+// epoch aggregates. No span carries a host wall-clock value.
 type Tracer struct {
-	wall     bool
 	absolute bool
 
 	mu      sync.Mutex
@@ -25,13 +22,6 @@ type Tracer struct {
 
 // TracerOption configures NewTracer.
 type TracerOption func(*Tracer)
-
-// WithWallTime records wall-clock annotations (worker id, host-phase
-// latency, per-sample wall duration) alongside the simulated clock. Traces
-// recorded in wall mode are not bit-identical across runs.
-func WithWallTime() TracerOption {
-	return func(t *Tracer) { t.wall = true }
-}
 
 // WithAbsoluteTime declares that samples are recorded on one shared virtual
 // clock (SampleTrace.SetBase / EpochOptions.ClockBaseNS): Spans returns them
@@ -61,33 +51,11 @@ func (t *Tracer) Sample(idx int) *SampleTrace {
 	if t == nil {
 		return nil
 	}
-	st := &SampleTrace{sample: idx, wall: t.wall, absolute: t.absolute}
+	st := &SampleTrace{sample: idx, absolute: t.absolute}
 	t.mu.Lock()
 	t.samples[idx] = st
 	t.mu.Unlock()
 	return st
-}
-
-// SetWorker tags the sample with the worker that simulated it (wall mode
-// only — worker assignment is scheduling-dependent).
-func (st *SampleTrace) SetWorker(w int) {
-	if st == nil || !st.wall {
-		return
-	}
-	st.worker = w
-}
-
-// TimeWall runs fn and, in wall mode, records its wall-clock duration as the
-// sample's envelope. A nil or simulated-only trace just calls fn, so the
-// envelope is balanced by construction on every path.
-func (st *SampleTrace) TimeWall(fn func()) {
-	if st == nil || !st.wall {
-		fn()
-		return
-	}
-	sw := StartTimer()
-	fn()
-	st.wallNS = sw.ElapsedNS()
 }
 
 // At returns the already-registered trace for one sample index, nil when the
@@ -154,10 +122,6 @@ func (t *Tracer) Spans() []Span {
 			StartNS: start, DurNS: dur,
 			Mispredicted: st.outcome.mispredicted, CacheHit: st.outcome.cacheHit,
 			Request: st.request, Tenant: st.tenant, Replica: st.replica,
-		}
-		if st.wall {
-			env.Worker = st.worker
-			env.WallNS = st.wallNS
 		}
 		out = append(out, env)
 		for _, sp := range st.spans {

@@ -284,8 +284,8 @@ func TestResolveAllocatesOnlyOutput(t *testing.T) {
 }
 
 // TestCloneKeepsLabelCache checks that a clone starts with its parent's
-// normalized-label cache: its first Resolve (scratch primed, as the pool
-// is per pilot) allocates only its Output and resolves as the parent does.
+// normalized-label cache and scratch pool: its first Resolve allocates only
+// its Output and resolves as the parent does.
 // Train on the clone replaces the clone's map and leaves the parent's
 // cache as it was.
 func TestCloneKeepsLabelCache(t *testing.T) {
@@ -306,15 +306,16 @@ func TestCloneKeepsLabelCache(t *testing.T) {
 	}
 
 	if !raceEnabled {
-		// One fresh clone per run, its scratch pool primed outside the count.
-		// GOMAXPROCS 1 keeps the Put and the Resolve's Get on one P.
+		// One fresh clone per run; only the parent's scratch pool is primed,
+		// once, outside the count. GOMAXPROCS 1 keeps the Put and the
+		// Resolves' Gets on one P.
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		_, buf := p.inferNorm(e.Base, e.Features)
+		p.scratch.Put(buf)
 		const runs = 50
 		var mallocs uint64
 		for i := 0; i < runs; i++ {
 			c := p.Clone()
-			_, buf := c.inferNorm(e.Base, e.Features)
-			c.scratch.Put(buf)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			if _, err := c.Resolve(e); err != nil {

@@ -101,10 +101,13 @@ type Pilot struct {
 
 	// scratch pools inference buffers (*[]float64: normalized features,
 	// then the MLP's activations), one per in-flight Predict or Resolve, so
-	// a warm call allocates only the output it returns. Clone starts a
-	// fresh pool. It is a separate object because the runtime
-	// keeps a used pool reachable until two GCs later: embedded, it would
-	// keep a discarded pilot's weights alive that long too.
+	// a warm call allocates only the output it returns. A pilot and its
+	// clones share one pool: their MLPs have one shape, so a clone's first
+	// Resolve reuses its parent's buffers (inferNorm replaces a buffer too
+	// short for the MLP, should a Train change the shape). It is a separate
+	// object because the runtime keeps a used pool reachable until two GCs
+	// later: embedded, it would keep a discarded pilot's weights alive that
+	// long too.
 	scratch *sync.Pool
 
 	// version counts the weight updates (Train and Refine calls) this
@@ -248,13 +251,13 @@ func (p *Pilot) Trained() bool { return p.featMean != nil }
 func (p *Pilot) Version() uint64 { return p.version }
 
 // Clone returns a copy of the pilot: scaler copies, a copy of the
-// normalized-label cache's map (sharing its slices), and the MLPs, which
-// the two pilots share copy-on-write, so training either one leaves the
-// other unchanged. A clone starts without momentum, as a loaded pilot does.
+// normalized-label cache's map (sharing its slices), the parent's inference
+// scratch pool, and the MLPs, which the two pilots share copy-on-write, so
+// training either one leaves the other unchanged. A clone starts without momentum, as a loaded pilot does.
 // The online learner refines a clone so the serving feedback loop never
 // mutates the offline-trained pilot the training engines share.
 func (p *Pilot) Clone() *Pilot {
-	c := &Pilot{Cfg: p.Cfg, scratch: new(sync.Pool)}
+	c := &Pilot{Cfg: p.Cfg, scratch: p.scratch}
 	for i, m := range p.mlps {
 		p.shared[i].Store(true)
 		c.shared[i].Store(true)
@@ -349,9 +352,10 @@ func (p *Pilot) Refine(examples []*Example, rc RefineConfig) (float64, error) {
 // puts buf back into p.scratch once it is done with the output.
 func (p *Pilot) inferNorm(base dynn.BaseType, features []float64) ([]float64, *[]float64) {
 	m := p.mlps[int(base)]
+	n := m.InputSize() + m.ScratchLen()
 	buf, ok := p.scratch.Get().(*[]float64)
-	if !ok {
-		s := make([]float64, m.InputSize()+m.ScratchLen())
+	if !ok || len(*buf) < n {
+		s := make([]float64, n)
 		buf = &s
 	}
 	fbuf := (*buf)[:len(features)]

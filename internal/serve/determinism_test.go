@@ -46,8 +46,8 @@ func TestServeDeterminism(t *testing.T) {
 	}
 }
 
-// TestServeTraceDeterminism: with wall mode off, the serving trace replays
-// bit-identically across worker counts too (queue spans included).
+// TestServeTraceDeterminism: the serving trace replays bit-identically
+// across worker counts too (queue spans included).
 func TestServeTraceDeterminism(t *testing.T) {
 	b := testServeBench(t)
 	run := func(workers int) string {

@@ -2,8 +2,6 @@ package dynnoffload
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"dynnoffload/internal/baselines"
 	"dynnoffload/internal/core"
@@ -16,45 +14,20 @@ import (
 // name strings. Implementations obtained from System.Runner are safe for
 // concurrent RunIteration calls.
 type Runner interface {
-	// Name is the registry name ("dynn-offload", "pytorch", "uvm", "dtr",
-	// "zero-offload", ...).
+	// Name is the policy name ("dynn-offload", "pytorch", "uvm", "dtr",
+	// "zero-offload").
 	Name() string
 	// RunIteration simulates one training iteration of the example's
 	// ground-truth resolution path and returns its time/traffic breakdown.
 	RunIteration(ex *PilotExample) (Breakdown, error)
 }
 
-// RunnerFactory builds a runner bound to a system. Factories run once per
-// (System, name) — System.Runner memoizes the result.
-type RunnerFactory func(*System) (Runner, error)
-
-var (
-	runnerMu       sync.RWMutex
-	runnerRegistry = map[string]RunnerFactory{}
-)
-
-// RegisterRunner adds a policy to the registry, replacing any previous entry
-// with the same name. Downstream packages can register custom policies and
-// have them picked up by System.Runner and comparison loops.
-func RegisterRunner(name string, f RunnerFactory) {
-	runnerMu.Lock()
-	defer runnerMu.Unlock()
-	runnerRegistry[name] = f
-}
-
-// RunnerNames lists the registered policy names, sorted.
+// RunnerNames lists the built-in policy names, sorted.
 func RunnerNames() []string {
-	runnerMu.RLock()
-	defer runnerMu.RUnlock()
-	names := make([]string, 0, len(runnerRegistry))
-	for n := range runnerRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return []string{DTR, DyNNOffload, PyTorch, UVM, ZeROOffload}
 }
 
-// Runner resolves a registered policy for this system. Results are memoized
+// Runner resolves a built-in policy for this system. Results are memoized
 // per system, so repeated lookups share one runner (and its state, e.g. the
 // DyNN-Offload mis-prediction cache).
 func (s *System) Runner(name string) (Runner, error) {
@@ -63,49 +36,36 @@ func (s *System) Runner(name string) (Runner, error) {
 	if r, ok := s.runners[name]; ok {
 		return r, nil
 	}
-	runnerMu.RLock()
-	f, ok := runnerRegistry[name]
-	runnerMu.RUnlock()
-	if !ok {
+	var r Runner
+	switch name {
+	case DyNNOffload:
+		r = &offloadRunner{s: s}
+	case PyTorch:
+		r = &pathRunner{name: name, run: func(info *pilot.PathInfo) (Breakdown, error) {
+			return baselines.PyTorch(info.Analysis, s.cfg.Platform)
+		}}
+	case UVM:
+		r = &pathRunner{name: name, run: func(info *pilot.PathInfo) (Breakdown, error) {
+			return baselines.UVM(info.Analysis, s.cfg.Platform, baselines.DefaultUVMConfig())
+		}}
+	case DTR:
+		r = &pathRunner{name: name, run: func(info *pilot.PathInfo) (Breakdown, error) {
+			return baselines.DTR(info.Analysis, s.cfg.Platform, baselines.DefaultDTRConfig())
+		}}
+	case ZeROOffload:
+		eng := core.NewEngine(core.DefaultConfig(s.cfg.Platform), nil)
+		r = &pathRunner{name: name, run: func(info *pilot.PathInfo) (Breakdown, error) {
+			return baselines.ZeRO(info.Analysis, s.cfg.Platform, s.cfg.Model.Dynamic(),
+				baselines.DefaultZeROConfig(), eng.SimulatePartition)
+		}}
+	default:
 		return nil, fmt.Errorf("dynnoffload: runner %q: %w", name, ErrUnknownRunner)
-	}
-	r, err := f(s)
-	if err != nil {
-		return nil, err
 	}
 	if s.runners == nil {
 		s.runners = map[string]Runner{}
 	}
 	s.runners[name] = r
 	return r, nil
-}
-
-func init() {
-	RegisterRunner(DyNNOffload, func(s *System) (Runner, error) {
-		return &offloadRunner{s: s}, nil
-	})
-	RegisterRunner(PyTorch, func(s *System) (Runner, error) {
-		return &pathRunner{name: PyTorch, run: func(info *pilot.PathInfo) (Breakdown, error) {
-			return baselines.PyTorch(info.Analysis, s.cfg.Platform)
-		}}, nil
-	})
-	RegisterRunner(UVM, func(s *System) (Runner, error) {
-		return &pathRunner{name: UVM, run: func(info *pilot.PathInfo) (Breakdown, error) {
-			return baselines.UVM(info.Analysis, s.cfg.Platform, baselines.DefaultUVMConfig())
-		}}, nil
-	})
-	RegisterRunner(DTR, func(s *System) (Runner, error) {
-		return &pathRunner{name: DTR, run: func(info *pilot.PathInfo) (Breakdown, error) {
-			return baselines.DTR(info.Analysis, s.cfg.Platform, baselines.DefaultDTRConfig())
-		}}, nil
-	})
-	RegisterRunner(ZeROOffload, func(s *System) (Runner, error) {
-		eng := core.NewEngine(core.DefaultConfig(s.cfg.Platform), nil)
-		return &pathRunner{name: ZeROOffload, run: func(info *pilot.PathInfo) (Breakdown, error) {
-			return baselines.ZeRO(info.Analysis, s.cfg.Platform, s.cfg.Model.Dynamic(),
-				baselines.DefaultZeROConfig(), eng.SimulatePartition)
-		}}, nil
-	})
 }
 
 // pathRunner adapts a per-path baseline simulation to the Runner interface:
