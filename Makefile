@@ -30,7 +30,7 @@ fmt:
 lint:
 	$(GO) run ./cmd/dynnlint ./...
 
-# Race-check the concurrent runtime (sharded cache, parallel epochs, pilot),
+# Race-check the concurrent runtime (the engine caches, parallel epochs, pilot),
 # the packages the fault injector threads through (simulator, counters), and
 # the serving/cluster layers (admission, dispatch, the DES runtime).
 race:
@@ -57,28 +57,26 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Native Go fuzzing, one target each: FuzzResolve (graph resolution),
-# FuzzPartition (the Sentinel partitioner), FuzzPlanSignature (plan
-# signatures), FuzzNearestPath (the pilot's nearest-path scan against a naive
-# scan), FuzzMemPool (the GPU residency pool against a map-backed model),
-# FuzzParseSpec (the fault-spec parser: no panic; accepted specs round-trip),
-# FuzzLoad (the pilot file reader, test-only: no panic; an accepted file
-# re-saves to identical bytes), FuzzParseTenants (the dynnserve tenant DSL: no panic;
-# every accepted tenant is within bounds), FuzzReadChromeTrace (the
-# Chrome-trace reader and the analyses on what it loads: no panic; loaded
-# spans write and read back equal; any span set the writer accepts reads
-# back equal and writes again to the same bytes), FuzzMatVecT (the pilot
-# MLPs' forward kernel in training and inference: both MatVecT bodies,
-# assembly and pure Go, against MatVec over the transpose: equal bits) and
-# FuzzSqDist16 (the nearest-path distance kernel: both SqDist16 bodies
-# against a naive scan: equal bits and the same abandon decision). Each
-# -fuzz pattern needs its own go test invocation; seed
-# corpora live in the packages' testdata/fuzz/ or their f.Add calls. CI
-# runs this with a short FUZZTIME as a smoke pass; raise it locally to dig
-# (e.g. make fuzz FUZZTIME=10m).
+# FuzzPartition (the Sentinel partitioner), FuzzNearestPath (the pilot's
+# nearest-path scan against a naive scan), FuzzMemPool (the GPU residency pool
+# against a map-backed model), FuzzParseSpec (the fault-spec parser: no panic;
+# accepted specs round-trip), FuzzLoad (the pilot file reader, test-only: no
+# panic; an accepted file re-saves to identical bytes), FuzzParseTenants (the
+# dynnserve tenant DSL: no panic; every accepted tenant is within bounds),
+# FuzzReadChromeTrace (the Chrome-trace reader and the analyses on what it
+# loads: no panic; loaded spans write and read back equal; any span set the
+# writer accepts reads back equal and writes again to the same bytes),
+# FuzzMatVecT (the pilot MLPs' forward kernel in training and inference: both
+# MatVecT bodies, assembly and pure Go, against MatVec over the transpose:
+# equal bits) and FuzzSqDist16 (the nearest-path distance kernel: both
+# SqDist16 bodies against a naive scan: equal bits and the same abandon
+# decision). Each -fuzz pattern needs its own go test invocation; seed corpora
+# live in the packages' testdata/fuzz/ or their f.Add calls. CI runs this with
+# a short FUZZTIME as a smoke pass; raise it locally to dig (e.g. make fuzz
+# FUZZTIME=10m).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime $(FUZZTIME) ./internal/dynn
 	$(GO) test -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime $(FUZZTIME) ./internal/sentinel
-	$(GO) test -run '^$$' -fuzz '^FuzzPlanSignature$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzNearestPath$$' -fuzztime $(FUZZTIME) ./internal/pilot
 	$(GO) test -run '^$$' -fuzz '^FuzzMemPool$$' -fuzztime $(FUZZTIME) ./internal/gpusim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faults

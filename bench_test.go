@@ -18,6 +18,7 @@ import (
 	"dynnoffload/internal/expt"
 	"dynnoffload/internal/graph"
 	"dynnoffload/internal/online"
+	"dynnoffload/internal/pilot"
 	"dynnoffload/internal/serve"
 )
 
@@ -307,8 +308,8 @@ func BenchmarkPlanCacheMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanCacheHit times the shared L2 lookup by the engines' own cache
-// keys on a warmed cache — the per-sample cost of skipping compilation.
+// BenchmarkPlanCacheHit times the shared plan-cache lookup by the engines'
+// own keys on a warmed cache — the per-sample cost of skipping compilation.
 func BenchmarkPlanCacheHit(b *testing.B) {
 	w := workbench(b)
 	mb := w.Bench("var-BERT")
@@ -317,18 +318,16 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	capacity := mb.Platform.GPU.MemBytes
-	keys := make([]string, 0, len(mb.Test))
+	keys := make([]*pilot.PathInfo, 0, len(mb.Test))
 	for _, ex := range mb.Test {
-		if k := core.PlanCacheKey(ex.Ctx.PathByKey(ex.TruthKey), capacity); k != "" {
-			keys = append(keys, k)
-		}
+		keys = append(keys, ex.Ctx.PathByKey(ex.TruthKey))
 	}
 	if len(keys) == 0 {
 		b.Fatal("no plan-cache keys to probe")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := w.Plans.Lookup(keys[i%len(keys)]); !ok {
+		if _, ok := w.Plans.Lookup(keys[i%len(keys)], capacity); !ok {
 			b.Fatal("plan cache cold after warmup")
 		}
 	}

@@ -36,7 +36,7 @@ func main() {
 		epochs      = flag.Int("epochs", 0, "pilot training epochs")
 		batch       = flag.Int("batch", 0, "DyNN batch size")
 		seed        = flag.Uint64("seed", 42, "experiment seed")
-		workers     = flag.Int("workers", 0, "epoch worker pool size for DyNN-Offload epochs (0 = one worker, -1 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "epoch worker pool size for DyNN-Offload epochs (<= 0 = GOMAXPROCS)")
 		stats       = flag.String("stats", "", "write per-sample JSONL observability events to this file")
 		statsJSON   = flag.String("statsjson", "", "write aggregate per-model RunStats JSON for the parallel experiment to this file")
 		faultSpec   = flag.String("faults", "", "deterministic fault injection, e.g. seed=7,rate=0.05[,stall=4]")
@@ -70,7 +70,7 @@ func main() {
 	}
 	opts.Seed = *seed
 	opts.Workers = *workers
-	if opts.Workers < 0 {
+	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	if *faultSpec != "" {
@@ -135,11 +135,7 @@ func runTrace(path, model string, opts expt.Options, reg *obsv.Registry) error {
 	rec := obsv.NewRecorder(model, opts.Workers, nil)
 	reg.Register(rec)
 	eng := wb.Engine(mb)
-	workers := opts.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	rep, err := eng.ParallelRunEpoch(mb.Test, core.EpochOptions{Workers: workers, Tracer: tracer, Recorder: rec})
+	rep, err := eng.ParallelRunEpoch(mb.Test, core.EpochOptions{Workers: opts.Workers, Tracer: tracer, Recorder: rec})
 	if err != nil {
 		return err
 	}

@@ -130,9 +130,8 @@ type SystemConfig struct {
 	// PilotConfig configures the pilot trained by TrainPilot, which must be
 	// called before TrainEpoch.
 	PilotConfig pilot.Config
-	// Workers sizes TrainEpoch's worker pool: 0 runs one worker on the
-	// caller's goroutine, <0 uses GOMAXPROCS. Epoch aggregates are identical
-	// at any setting.
+	// Workers sizes TrainEpoch's worker pool; <= 0 uses GOMAXPROCS. Epoch
+	// aggregates are identical at any setting.
 	Workers int
 	// Faults configures deterministic fault injection into the simulated
 	// device (zero Rate disables it). The engine recovers via bounded
@@ -165,7 +164,7 @@ func WithPlatform(p Platform) Option { return func(c *SystemConfig) { c.Platform
 // WithPilotConfig configures the pilot trained by TrainPilot.
 func WithPilotConfig(pc PilotConfig) Option { return func(c *SystemConfig) { c.PilotConfig = pc } }
 
-// WithWorkers sizes TrainEpoch's worker pool: 0 one worker, <0 GOMAXPROCS.
+// WithWorkers sizes TrainEpoch's worker pool; n <= 0 uses GOMAXPROCS.
 func WithWorkers(n int) Option { return func(c *SystemConfig) { c.Workers = n } }
 
 // WithFaultInjection enables deterministic fault injection at the given seed
@@ -330,11 +329,7 @@ func (s *System) TrainEpochStats(samples []*dynn.Sample, rec *obsv.Recorder) (Ep
 	if err != nil {
 		return EpochReport{}, err
 	}
-	workers := s.cfg.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	return s.engine.ParallelRunEpoch(exs, core.EpochOptions{Workers: workers, Recorder: rec})
+	return s.engine.ParallelRunEpoch(exs, core.EpochOptions{Workers: s.cfg.Workers, Recorder: rec})
 }
 
 // NewRecorder builds an observability recorder for one run; sink may be nil

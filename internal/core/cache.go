@@ -1,86 +1,43 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// cacheShards is the stripe count of the mis-prediction cache. 32 stripes
-// keep contention negligible at worker counts far beyond any host we target
-// while costing ~1KB of mutexes.
-const cacheShards = 32
-
-type cacheShard struct {
-	mu sync.Mutex
-	m  map[string]string
+// mispredictCache is the mis-prediction cache (§IV-E), and with int keys the
+// serving sample memo: one mutex-guarded map from a key (the matched-path
+// key, or a sample ID) to the corrected ground-truth path key, with
+// hit/miss/insert counters so cache effectiveness is observable per run.
+// decide, its only reader and writer, runs serially within a dispatch; the
+// mutex keeps concurrent RunSample callers on one engine safe.
+type mispredictCache[K comparable] struct {
+	mu                    sync.Mutex
+	m                     map[K]string
+	hits, misses, inserts int64
 }
 
-// shardedCache is the concurrency-safe mis-prediction cache (§IV-E): a
-// mutex-striped map from cache key (the matched-path / quantized-output key)
-// to the corrected ground-truth path key, with hit/miss/insert counters so
-// cache effectiveness is observable per run.
-type shardedCache struct {
-	shards  [cacheShards]cacheShard
-	hits    atomic.Int64
-	misses  atomic.Int64
-	inserts atomic.Int64
-}
-
-func newShardedCache() *shardedCache {
-	c := &shardedCache{}
-	for i := range c.shards {
-		c.shards[i].m = map[string]string{}
-	}
-	return c
-}
-
-// shardOf hashes the key with FNV-1a and picks a stripe.
-func (c *shardedCache) shardOf(key string) *cacheShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return &c.shards[h%cacheShards]
+func newMispredictCache[K comparable]() *mispredictCache[K] {
+	return &mispredictCache[K]{m: map[K]string{}}
 }
 
 // Lookup returns the corrected path key recorded for key, counting the
 // outcome.
-func (c *shardedCache) Lookup(key string) (string, bool) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	v, ok := s.m[key]
-	s.mu.Unlock()
+func (c *mispredictCache[K]) Lookup(key K) (string, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.m[key]
 	if ok {
-		c.hits.Add(1)
+		c.hits++
 	} else {
-		c.misses.Add(1)
+		c.misses++
 	}
 	return v, ok
 }
 
-// Insert records the corrected path key for a mis-predicted cache key.
-func (c *shardedCache) Insert(key, corrected string) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	s.m[key] = corrected
-	s.mu.Unlock()
-	c.inserts.Add(1)
-}
-
-// Len returns the number of distinct cached keys.
-func (c *shardedCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.Unlock()
-	}
-	return n
+// Insert records the corrected path key for a mis-predicted key.
+func (c *mispredictCache[K]) Insert(key K, corrected string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[key] = corrected
+	c.inserts++
 }
 
 // CacheStats reports the engine's mis-prediction cache behavior over its
@@ -100,11 +57,9 @@ func (s CacheStats) HitRate() float64 {
 	return 0
 }
 
-func (c *shardedCache) Stats() CacheStats {
-	return CacheStats{
-		Hits:    c.hits.Load(),
-		Misses:  c.misses.Load(),
-		Inserts: c.inserts.Load(),
-		Entries: c.Len(),
-	}
+// Stats snapshots the counters and the number of distinct cached keys.
+func (c *mispredictCache[K]) Stats() CacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{Hits: c.hits, Misses: c.misses, Inserts: c.inserts, Entries: len(c.m)}
 }

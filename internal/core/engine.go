@@ -8,7 +8,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"dynnoffload/internal/faults"
 	"dynnoffload/internal/gpusim"
@@ -66,10 +65,10 @@ type Config struct {
 	// through the same pilots, so one memo serves them all. Nil gives each
 	// engine a private memo.
 	Resolutions *ResolutionMemo
-	// Plans, when non-nil, is a shared resolved-plan cache (L2): engines
-	// built for different sweep grid points reuse each other's compiled
-	// plans when path signature, context fingerprint, and GPU capacity
-	// match. Each engine always keeps its own pointer-keyed L1 regardless.
+	// Plans, when non-nil, is a resolved-plan cache shared with other
+	// engines: engines built for different sweep grid points reuse each
+	// other's compiled plans for the same path at the same GPU capacity.
+	// Nil gives the engine a private cache.
 	Plans *PlanCache
 }
 
@@ -97,32 +96,35 @@ func DefaultConfig(p gpusim.Platform) Config {
 }
 
 // Engine simulates DyNN training under DyNN-Offload. The cost model and the
-// trained pilot are read-only at run time, and the mis-prediction cache is
-// sharded, so one Engine may execute many samples concurrently (RunSample
-// from several goroutines, or ParallelRunEpoch).
+// trained pilot are read-only at run time, and the caches are safe for
+// concurrent use, so one Engine may execute many samples concurrently
+// (RunSample from several goroutines, or ParallelRunEpoch).
 type Engine struct {
 	Cfg   Config
 	CM    gpusim.CostModel
 	Pilot *pilot.Pilot
 
 	// mis-prediction cache: cache key -> corrected path key.
-	cache *shardedCache
+	cache *mispredictCache[string]
 	// sample memo (Config.MemoizeSamples): sample ID -> resolved path key of
 	// a previously executed mis-predicted request.
-	memo *shardedCache
+	memo *mispredictCache[int]
 	// resolved is the resolution memo (Config.MemoizeSamples); nil when off.
 	resolved *ResolutionMemo
-	// resolved-plan L1s (see plan.go): paths by PathInfo identity, custom
-	// partitions by (analysis ID, partition digest).
-	pathPlans planL1[*pilot.PathInfo]
-	partPlans planL1[partPlanKey]
+	// plans is the resolved-plan cache (plan.go): Config.Plans, or a private
+	// cache when that is nil.
+	plans *PlanCache
 }
 
 // NewEngine builds a runtime around a trained pilot.
 func NewEngine(cfg Config, p *pilot.Pilot) *Engine {
 	e := &Engine{
 		Cfg: cfg, CM: gpusim.NewCostModel(cfg.Platform), Pilot: p,
-		cache: newShardedCache(), memo: newShardedCache(),
+		cache: newMispredictCache[string](), memo: newMispredictCache[int](),
+		plans: cfg.Plans,
+	}
+	if e.plans == nil {
+		e.plans = NewPlanCache()
 	}
 	if cfg.MemoizeSamples {
 		e.resolved = cfg.Resolutions
@@ -209,10 +211,9 @@ func (e *Engine) decide(ex *pilot.Example, resolution *pilot.Resolution) (decisi
 	}
 	// The sample memo (serving): a request seen before reuses its recorded
 	// resolution, overriding the pilot even on an exact-but-wrong match.
-	memoKey := ""
-	if e.Cfg.MemoizeSamples && ex.Sample != nil {
-		memoKey = strconv.Itoa(ex.Sample.ID)
-		if resolved, ok := e.memo.Lookup(memoKey); ok {
+	memoized := e.Cfg.MemoizeSamples && ex.Sample != nil
+	if memoized {
+		if resolved, ok := e.memo.Lookup(ex.Sample.ID); ok {
 			predKey = resolved
 			d.cacheHit = true
 		}
@@ -233,8 +234,8 @@ func (e *Engine) decide(ex *pilot.Example, resolution *pilot.Resolution) (decisi
 			// and for the next offline pilot-training round.
 			e.cache.Insert(cacheKey, ex.TruthKey)
 		}
-		if memoKey != "" {
-			e.memo.Insert(memoKey, ex.TruthKey)
+		if memoized {
+			e.memo.Insert(ex.Sample.ID, ex.TruthKey)
 		}
 	}
 	return d, nil

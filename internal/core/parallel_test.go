@@ -13,8 +13,8 @@ import (
 )
 
 // TestParallelEpochDeterminism: ParallelRunEpoch must produce the same epoch
-// aggregates as serial RunEpoch at any worker count — the sharded cache's
-// serial decision pass keeps cache evolution order-independent of scheduling.
+// aggregates as serial RunEpoch at any worker count — the mis-prediction
+// cache's serial decision pass keeps cache evolution order-independent of scheduling.
 func TestParallelEpochDeterminism(t *testing.T) {
 	_, test, p, plat := testBench(t)
 
@@ -135,10 +135,10 @@ func TestParallelEpochEmpty(t *testing.T) {
 	}
 }
 
-// TestShardedCacheRace hammers the cache from 16 goroutines; run under
-// `go test -race` this proves the striping sound.
+// TestShardedCacheRace hammers the mis-prediction cache from 16 goroutines;
+// run under `go test -race` this proves its locking sound.
 func TestShardedCacheRace(t *testing.T) {
-	c := newShardedCache()
+	c := newMispredictCache[string]()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -150,7 +150,6 @@ func TestShardedCacheRace(t *testing.T) {
 					c.Insert(key, fmt.Sprintf("truth-%d-%d", g, i))
 				}
 				if i%97 == 0 {
-					_ = c.Len()
 					_ = c.Stats()
 				}
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -11,25 +10,15 @@ import (
 )
 
 // This file is the resolved-plan cache — the DyCL-style generalization of
-// Config.MemoizeSamples from exact sample identity to control-flow identity.
-// Every sample whose dynamic path renders the same canonical signature
-// (graph.PathSignature, carried on pilot.PathInfo) executes from one shared
-// immutable ResolvedPlan: the per-block fetch/evict/working tables, the
-// iteration aggregates, and the replayed residency peak. A plan is a pure
-// function of the path, the model-context parameters, and the GPU capacity,
-// so sharing one across samples, ParallelRunEpoch workers, engines, and
-// sweep grid points cannot change any simulated result — it only removes the
-// per-sample liveness walks and allocations from the hot path.
-//
-// Lookup is layered:
-//
-//   - L1, per engine: pointer-keyed maps (PathInfo identity; analysis ID +
-//     partition digest for custom partitions) behind atomic.Pointer — reads
-//     are lock-free, inserts copy-on-write under a mutex. ParallelRunEpoch
-//     workers share hits without contending.
-//   - L2, optional and shared (Config.Plans): the sharded PlanCache keyed by
-//     PathInfo.PlanKey + GPU capacity, so ServeSweep/ClusterSweep engines
-//     built per grid point amortize plan construction across the sweep.
+// Config.MemoizeSamples from exact sample identity to path identity. Every
+// sample whose dynamic path resolves to the same pilot.PathInfo executes
+// from one shared immutable ResolvedPlan: the per-block fetch/evict/working
+// tables, the iteration aggregates, and the replayed residency peak. A plan
+// is a pure function of the path, the model-context parameters, and the GPU
+// capacity, so sharing one across samples, ParallelRunEpoch workers,
+// engines, and sweep grid points cannot change any simulated result — it
+// only removes the per-sample liveness walks and allocations from the hot
+// path.
 
 // ResolvedPlan is one immutable compiled execution plan: the block query
 // table plus the context-dependent values the simulator needs per sample.
@@ -89,52 +78,40 @@ func replayPipelinedPeak(bp *sentinel.BlockPlan, capacity int64) int64 {
 	return peak
 }
 
-// planShards stripes the shared cache; see cacheShards for the sizing
-// rationale.
-const planShards = 32
-
-type planShard struct {
-	mu sync.Mutex // serializes inserts; lookups never take it
-	m  atomic.Pointer[map[string]*ResolvedPlan]
+// planID is a plan's identity in the PlanCache. A path plan is keyed by
+// its PathInfo and a custom partition (SimulatePartition) by its analysis
+// and partition digest; both add the GPU capacity, because the fault-free
+// residency peak is replayed per capacity. The keys are identities, not
+// content hashes: a ModelContext enumerates each path once, so the PathInfo
+// pointer already names the static sub-graph the plan compiles.
+type planID struct {
+	path     *pilot.PathInfo
+	analysis *sentinel.Analysis
+	blocks   uint64
+	capacity int64
 }
 
-// PlanCache is the shared resolved-plan cache: sharded maps behind atomic
-// pointers, so lookups are lock-free reads of immutable snapshots and
-// inserts copy-on-write under a per-shard mutex. One PlanCache may back any
-// number of engines concurrently.
+// PlanCache is the resolved-plan cache: one map snapshot behind an atomic
+// pointer, so lookups are lock-free reads and inserts copy-on-write under a
+// mutex. Every engine holds one — Config.Plans when shared, else a private
+// cache — and one PlanCache may back any number of engines concurrently.
 type PlanCache struct {
-	shards  [planShards]planShard
+	mu      sync.Mutex // serializes inserts; lookups never take it
+	m       atomic.Pointer[map[planID]*ResolvedPlan]
 	hits    atomic.Int64
 	misses  atomic.Int64
 	inserts atomic.Int64
 }
 
-// NewPlanCache returns an empty shared plan cache.
+// NewPlanCache returns an empty plan cache.
 func NewPlanCache() *PlanCache {
 	c := &PlanCache{}
-	empty := map[string]*ResolvedPlan{}
-	for i := range c.shards {
-		c.shards[i].m.Store(&empty)
-	}
+	c.m.Store(&map[planID]*ResolvedPlan{})
 	return c
 }
 
-func (c *PlanCache) shardOf(key string) *planShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return &c.shards[h%planShards]
-}
-
-// Lookup returns the cached plan for a key. The read is lock-free.
-func (c *PlanCache) Lookup(key string) (*ResolvedPlan, bool) {
-	p, ok := (*c.shardOf(key).m.Load())[key]
+func (c *PlanCache) lookup(k planID) (*ResolvedPlan, bool) {
+	p, ok := (*c.m.Load())[k]
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -143,39 +120,34 @@ func (c *PlanCache) Lookup(key string) (*ResolvedPlan, bool) {
 	return p, ok
 }
 
-// Insert publishes a plan under a key and returns the cache's plan for that
-// key — the existing entry if another goroutine published first (both built
-// the same pure function of the key, so either is correct; keeping the first
-// lets every caller converge on one shared pointer).
-func (c *PlanCache) Insert(key string, plan *ResolvedPlan) *ResolvedPlan {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	old := *s.m.Load()
-	if existing, ok := old[key]; ok {
-		s.mu.Unlock()
+// Lookup returns the plan cached for a path at a GPU capacity, as an engine
+// at that capacity would find it. The read is lock-free.
+func (c *PlanCache) Lookup(info *pilot.PathInfo, capacityBytes int64) (*ResolvedPlan, bool) {
+	return c.lookup(planID{path: info, capacity: capacityBytes})
+}
+
+// insert publishes a plan under k and returns the cache's plan for k — the
+// existing entry if another goroutine published first (both built the same
+// pure function of the key, so either is correct; keeping the first lets
+// every caller converge on one shared pointer).
+func (c *PlanCache) insert(k planID, plan *ResolvedPlan) *ResolvedPlan {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old := *c.m.Load()
+	if existing, ok := old[k]; ok {
 		return existing
 	}
-	next := make(map[string]*ResolvedPlan, len(old)+1)
-	for k, v := range old {
-		next[k] = v
+	next := make(map[planID]*ResolvedPlan, len(old)+1)
+	for k2, v := range old {
+		next[k2] = v
 	}
-	next[key] = plan
-	s.m.Store(&next)
-	s.mu.Unlock()
+	next[k] = plan
+	c.m.Store(&next)
 	c.inserts.Add(1)
 	return plan
 }
 
-// Len returns the number of cached plans.
-func (c *PlanCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		n += len(*c.shards[i].m.Load())
-	}
-	return n
-}
-
-// PlanCacheStats reports shared-cache behavior since construction.
+// PlanCacheStats reports cache behavior since construction.
 type PlanCacheStats struct {
 	Hits    int64
 	Misses  int64
@@ -189,101 +161,28 @@ func (c *PlanCache) Stats() PlanCacheStats {
 		Hits:    c.hits.Load(),
 		Misses:  c.misses.Load(),
 		Inserts: c.inserts.Load(),
-		Entries: c.Len(),
+		Entries: len(*c.m.Load()),
 	}
 }
 
-// partPlanKey identifies a custom partition of one analysis — the
-// SimulatePartition entry point, where callers bring their own blocks
-// (partition-quality heuristics, the ZeRO baseline) rather than a PathInfo.
-type partPlanKey struct {
-	analysis uint64
-	blocks   uint64
-}
-
-// planL1 is the engine-local pointer-keyed plan index: lock-free reads via
-// atomic.Pointer snapshots, copy-on-write inserts under mu.
-type planL1[K comparable] struct {
-	mu sync.Mutex
-	m  atomic.Pointer[map[K]*ResolvedPlan]
-}
-
-func (l *planL1[K]) lookup(k K) *ResolvedPlan {
-	if m := l.m.Load(); m != nil {
-		return (*m)[k]
-	}
-	return nil
-}
-
-// insert publishes k→plan, keeping an existing entry if one raced in first,
-// and returns the map's plan for k.
-func (l *planL1[K]) insert(k K, plan *ResolvedPlan) *ResolvedPlan {
-	l.mu.Lock()
-	var old map[K]*ResolvedPlan
-	if p := l.m.Load(); p != nil {
-		old = *p
-	}
-	if existing, ok := old[k]; ok {
-		l.mu.Unlock()
-		return existing
-	}
-	next := make(map[K]*ResolvedPlan, len(old)+1)
-	for k2, v := range old {
-		next[k2] = v
-	}
-	next[k] = plan
-	l.m.Store(&next)
-	l.mu.Unlock()
-	return plan
-}
-
-// PlanCacheKey is the shared-cache (L2) key an engine with the given GPU
-// capacity files info's resolved plan under, or "" when info carries no
-// PlanKey (hand-built PathInfos, which cache per engine by pointer identity
-// only). PathInfo.PlanKey is already a fixed-width 128-bit digest of the
-// signature and context fingerprint, so the composed key stays ~50 bytes
-// regardless of model depth — every L2 probe compares a short constant-size
-// string instead of walking the full path signature. Exported so benchmarks
-// and tools can probe or warm a PlanCache with the exact keys engines use.
-func PlanCacheKey(info *pilot.PathInfo, capacityBytes int64) string {
-	if info.PlanKey == "" {
-		return ""
-	}
-	return info.PlanKey + "\x00cap:" + strconv.FormatInt(capacityBytes, 10)
-}
-
-// planFor resolves the plan for a path: engine L1 by PathInfo identity, then
-// the shared L2 by PlanKey + capacity, building and publishing on a miss.
-// Safe for concurrent use; concurrent misses build duplicate (identical)
-// plans and converge on the first published.
+// planFor resolves the plan for a path at the engine's GPU capacity,
+// compiling and publishing it on a miss. Safe for concurrent use; concurrent
+// misses build duplicate (identical) plans and converge on the first
+// published.
 func (e *Engine) planFor(info *pilot.PathInfo) *ResolvedPlan {
 	capacity := e.Cfg.Platform.GPU.MemBytes
-	if plan := e.pathPlans.lookup(info); plan != nil {
+	if plan, ok := e.plans.Lookup(info, capacity); ok {
 		return plan
 	}
-	key := ""
-	var plan *ResolvedPlan
-	if e.Cfg.Plans != nil {
-		if key = PlanCacheKey(info, capacity); key != "" {
-			plan, _ = e.Cfg.Plans.Lookup(key)
-		}
-	}
-	if plan == nil {
-		plan = buildResolvedPlan(info.Analysis, info.Blocks, capacity)
-		if key != "" {
-			plan = e.Cfg.Plans.Insert(key, plan)
-		}
-	}
-	return e.pathPlans.insert(info, plan)
+	return e.plans.insert(planID{path: info, capacity: capacity}, buildResolvedPlan(info.Analysis, info.Blocks, capacity))
 }
 
 // partitionPlan resolves the plan for a caller-supplied partition, keyed by
-// analysis identity and partition digest. Engine-local only: custom
-// partitions have no canonical signature to share under.
+// analysis identity and partition digest.
 func (e *Engine) partitionPlan(an *sentinel.Analysis, blocks []sentinel.Block) *ResolvedPlan {
-	k := partPlanKey{analysis: an.ID(), blocks: sentinel.BlocksDigest(blocks)}
-	if plan := e.partPlans.lookup(k); plan != nil {
+	k := planID{analysis: an, blocks: sentinel.BlocksDigest(blocks), capacity: e.Cfg.Platform.GPU.MemBytes}
+	if plan, ok := e.plans.lookup(k); ok {
 		return plan
 	}
-	return e.partPlans.insert(k, buildResolvedPlan(an, blocks, e.Cfg.Platform.GPU.MemBytes))
+	return e.plans.insert(k, buildResolvedPlan(an, blocks, k.capacity))
 }

@@ -5,11 +5,13 @@ import (
 	"testing"
 
 	"dynnoffload/internal/faults"
+	"dynnoffload/internal/gpusim"
 	"dynnoffload/internal/obsv"
+	"dynnoffload/internal/pilot"
 )
 
 // planSchedule runs one fresh-engine traced epoch, optionally attached to a
-// shared L2, and returns the epoch report (wall-measured overhead stripped),
+// shared PlanCache, and returns the epoch report (wall-measured overhead stripped),
 // the canonical span set and the engine.
 func planSchedule(t *testing.T, b *propBench, fc faults.Config, workers int, plans *PlanCache) (EpochReport, []obsv.Span, *Engine) {
 	t.Helper()
@@ -29,9 +31,9 @@ func planSchedule(t *testing.T, b *propBench, fc faults.Config, workers int, pla
 }
 
 // TestPlanCacheBitIdentical is the plan-cache acceptance property. The
-// reference is a one-worker epoch on a private engine with no shared L2,
-// every plan in whose L1 must deep-equal a fresh compile of its path. With a
-// shared L2 as well, every epoch aggregate — Samples, Mispredictions,
+// reference is a one-worker epoch on a private engine with no shared cache,
+// every plan in whose own cache must deep-equal a fresh compile of its path.
+// With a shared cache instead, every epoch aggregate — Samples, Mispredictions,
 // CacheHits, the full virtual-time Breakdown, the fault counters — and the
 // entire simulated-time span set are bit-identical to that reference, across
 // 1/2/4/8 workers, fault-free and faulted. Plans are pure functions of their
@@ -40,13 +42,14 @@ func TestPlanCacheBitIdentical(t *testing.T) {
 	for _, b := range propModels(t) {
 		for _, fc := range []faults.Config{{}, {Seed: 11, Rate: 0.2}} {
 			refRep, refSpans, ref := planSchedule(t, b, fc, 1, nil)
-			l1 := *ref.pathPlans.m.Load()
-			if len(l1) == 0 {
+			own := *ref.plans.m.Load()
+			if len(own) == 0 {
 				t.Fatalf("%s: %+v: the reference engine compiled no plans", b.name, fc)
 			}
-			for info, plan := range l1 {
+			for k, plan := range own {
+				info := k.path
 				if fresh := buildResolvedPlan(info.Analysis, info.Blocks, b.plat.GPU.MemBytes); !reflect.DeepEqual(plan, fresh) {
-					t.Fatalf("%s: %+v: L1 plan for %s differs from a fresh compile", b.name, fc, info.Key)
+					t.Fatalf("%s: %+v: cached plan for %s differs from a fresh compile", b.name, fc, info.Key)
 				}
 			}
 			if len(refSpans) == 0 {
@@ -72,7 +75,7 @@ func TestPlanCacheBitIdentical(t *testing.T) {
 				}
 			}
 			if st := shared.Stats(); st.Hits == 0 || st.Entries == 0 {
-				t.Fatalf("%s: %+v: shared L2 never hit (%+v) — the equivalence never exercised sharing", b.name, fc, st)
+				t.Fatalf("%s: %+v: shared cache never hit (%+v) — the equivalence never exercised sharing", b.name, fc, st)
 			}
 		}
 	}
@@ -104,8 +107,49 @@ func TestPlanCacheSharedAcrossEngines(t *testing.T) {
 	}
 }
 
+// TestPlanCacheSeparatesCapacities pins the GPU capacity as part of a plan's key:
+// two engines at different capacities, both still offloading, share one
+// PlanCache, and each runs from plans compiled at its own capacity (the
+// pipelined residency peak is replayed per capacity). The cache holds one
+// entry per (path, capacity).
+func TestPlanCacheSeparatesCapacities(t *testing.T) {
+	b := propModels(t)[0]
+	paths := map[*pilot.PathInfo]bool{}
+	for _, ex := range b.test {
+		paths[ex.Ctx.PathByKey(ex.TruthKey)] = true
+	}
+	shared := NewPlanCache()
+	plats := []gpusim.Platform{b.plat, b.plat.WithMemory(b.plat.GPU.MemBytes * 5 / 4)}
+	for _, plat := range plats {
+		cfg := DefaultConfig(plat)
+		cfg.Plans = shared
+		rep, err := NewEngine(cfg, b.p).RunEpoch(b.test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Breakdown.H2DBytes == 0 {
+			t.Fatalf("%s: no offloading at %d GPU bytes — the property would be vacuous", b.name, plat.GPU.MemBytes)
+		}
+	}
+	if got, want := shared.Stats().Entries, len(plats)*len(paths); got != want {
+		t.Fatalf("%s: %d cached plans, want one per (path, capacity) = %d", b.name, got, want)
+	}
+	for _, plat := range plats {
+		capacity := plat.GPU.MemBytes
+		for info := range paths {
+			plan, ok := shared.Lookup(info, capacity)
+			if !ok {
+				t.Fatalf("%s: no plan for %s at %d bytes", b.name, info.Key, capacity)
+			}
+			if fresh := buildResolvedPlan(info.Analysis, info.Blocks, capacity); !reflect.DeepEqual(plan, fresh) {
+				t.Fatalf("%s: plan for %s at %d bytes differs from a fresh compile at that capacity", b.name, info.Key, capacity)
+			}
+		}
+	}
+}
+
 // TestPartitionPlanEquivalence pins the SimulatePartition cache: repeated
-// calls (plan compiled once, then served from the partition L1) return the
+// calls (plan compiled once, then served from the PlanCache) return the
 // same breakdown as the DES run on a freshly compiled plan, for the truth
 // paths of every fixture model's first test samples.
 func TestPartitionPlanEquivalence(t *testing.T) {

@@ -90,14 +90,7 @@ func (e *Engine) simulatePipelined(rp *ResolvedPlan, fs *faults.Stream, st *obsv
 	if plan.PeakResidentBytes <= e.Cfg.Platform.GPU.MemBytes {
 		bd.ComputeNS = plan.TotalComputeNS
 		bd.PeakGPUBytes = plan.PeakResidentBytes
-		if st != nil {
-			var cursor int64
-			for i := 0; i < n; i++ {
-				c := plan.ComputeNS[i]
-				st.Span(obsv.SpanCompute, obsv.LaneCompute, i, cursor, c, 0)
-				cursor += c
-			}
-		}
+		traceResident(st, plan, 0)
 		return bd, nil
 	}
 
@@ -284,62 +277,35 @@ func (e *Engine) simulateOnDemand(rp *ResolvedPlan, fs *faults.Stream, st *obsv.
 		bd.FaultNS = FaultLatencyNS
 		bd.Faults = 1
 		bd.PeakGPUBytes = plan.PeakResidentBytes
-		if st != nil {
-			cursor := FaultLatencyNS
-			st.Span(obsv.SpanFault, obsv.LaneHost, 0, 0, cursor, 0)
-			for i := 0; i < n; i++ {
-				c := plan.ComputeNS[i]
-				st.Span(obsv.SpanCompute, obsv.LaneCompute, i, cursor, c, 0)
-				cursor += c
-			}
-		}
+		st.Span(obsv.SpanFault, obsv.LaneHost, 0, 0, FaultLatencyNS, 0)
+		traceResident(st, plan, FaultLatencyNS)
 		return bd
 	}
 	// The on-demand path is fully serial — every transfer is exposed on the
-	// critical path — so spans lie on one advancing cursor rather than on
-	// per-lane clocks.
-	var cursor int64
-	// xferNS is the exposed wall time of one on-demand transfer under the
-	// retry ladder: a stall multiplies the duration, an abort wastes half
-	// the duration plus a doubling backoff per re-issue, and the final rung
-	// is the fault-blind blocking copy. Fault-free it returns dur unchanged.
-	// Aborted attempts trace as retry spans, the completing issue as kind.
-	xferNS := func(kind obsv.SpanKind, lane string, block int, bytes int64) int64 {
-		dur := e.CM.BatchedXferTime(bytes)
-		var total int64
-		backoff := RetryBackoffNS
-		for attempt := 0; ; attempt++ {
-			f := fs.Transfer()
-			if !f.Abort {
-				d := dur * f.StallFactor
-				st.Span(kind, lane, block, cursor+total, d, bytes)
-				return total + d
-			}
-			st.Retry(lane, block, cursor+total, dur/2, bytes, attempt+1)
-			total += dur / 2 // wasted mid-flight time
-			if attempt+1 >= RetryMaxAttempts {
-				fs.NoteSyncFallback()
-				st.Span(kind, lane, block, cursor+total, dur, bytes)
-				return total + dur
-			}
-			fs.NoteRetry(backoff)
-			total += backoff
-			backoff *= 2
-		}
+	// critical path — so spans lie on one advancing cursor. Each transfer is
+	// issued ready at the cursor, and no lane clock ever leads it, so xfer's
+	// recovery ladder runs on per-sample lane clocks unchanged: the cursor
+	// moves to each transfer's completion.
+	var laneClocks gpusim.Streams
+	streams := &laneClocks
+	if fs != nil {
+		streams = gpusim.NewStreams(gpusim.WithFaultStream(fs))
 	}
-	var peak int64
+	var cursor, peak int64
 	for i := 0; i < n; i++ {
 		fetch := plan.FetchBytes[i]
 		bd.H2DBytes += fetch
-		d := xferNS(obsv.SpanOnDemand, obsv.LaneH2D, i, fetch)
-		bd.ExposedXferNS += d
-		cursor += d
+		end := e.xfer(streams, gpusim.LaneH2D, fs, cursor, e.CM.BatchedXferTime(fetch),
+			st, obsv.SpanOnDemand, i, fetch)
+		bd.ExposedXferNS += end - cursor
+		cursor = end
 		if i > 0 {
 			evict := plan.OnDemandEvictBytes[i]
 			bd.D2HBytes += evict
-			d = xferNS(obsv.SpanEvict, obsv.LaneD2H, i-1, evict)
-			bd.ExposedXferNS += d
-			cursor += d
+			end = e.xfer(streams, gpusim.LaneD2H, fs, cursor, e.CM.BatchedXferTime(evict),
+				st, obsv.SpanEvict, i-1, evict)
+			bd.ExposedXferNS += end - cursor
+			cursor = end
 		}
 		bd.FaultNS += FaultLatencyNS
 		bd.Faults++
@@ -355,6 +321,18 @@ func (e *Engine) simulateOnDemand(rp *ResolvedPlan, fs *faults.Stream, st *obsv.
 	}
 	bd.PeakGPUBytes = min64(2*peak, e.Cfg.Platform.GPU.MemBytes)
 	return bd
+}
+
+// traceResident traces the fits-on-GPU schedule: every block's compute back
+// to back from start, with no migrations. A no-op when st is nil.
+func traceResident(st *obsv.SampleTrace, plan *sentinel.BlockPlan, start int64) {
+	if st == nil {
+		return
+	}
+	for i, c := range plan.ComputeNS {
+		st.Span(obsv.SpanCompute, obsv.LaneCompute, i, start, c, 0)
+		start += c
+	}
 }
 
 func max64(a, b int64) int64 {

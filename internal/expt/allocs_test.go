@@ -10,6 +10,7 @@ import (
 	"dynnoffload/internal/core"
 	"dynnoffload/internal/graph"
 	"dynnoffload/internal/online"
+	"dynnoffload/internal/pilot"
 	"dynnoffload/internal/serve"
 )
 
@@ -84,11 +85,10 @@ func TestHotPathAllocs(t *testing.T) {
 	if _, err := warm.RunBatch(mb.Test, core.EpochOptions{Workers: w.Opts.Workers}); err != nil {
 		t.Fatal(err)
 	}
-	var keys []string
+	capacity := mb.Platform.GPU.MemBytes
+	var keys []*pilot.PathInfo
 	for _, ex := range mb.Test {
-		if k := core.PlanCacheKey(ex.Ctx.PathByKey(ex.TruthKey), mb.Platform.GPU.MemBytes); k != "" {
-			keys = append(keys, k)
-		}
+		keys = append(keys, ex.Ctx.PathByKey(ex.TruthKey))
 	}
 	if len(keys) == 0 {
 		t.Fatal("no plan-cache keys to probe")
@@ -151,7 +151,7 @@ func TestHotPathAllocs(t *testing.T) {
 			i++
 		}},
 		{"plan_cache_hit", runs, 0, 0, func() {
-			if _, ok := w.Plans.Lookup(keys[i%len(keys)]); !ok {
+			if _, ok := w.Plans.Lookup(keys[i%len(keys)], capacity); !ok {
 				t.Fatal("plan cache cold after warmup")
 			}
 			i++

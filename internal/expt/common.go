@@ -118,10 +118,10 @@ type Options struct {
 	// memory-pressure regime the paper's full-scale models face on a real
 	// GPU.
 	PressureFraction float64
-	// Workers sizes the epoch worker pool for DyNN-Offload epochs: 0 runs
-	// one worker on the caller's goroutine, <0 uses GOMAXPROCS. Results are
-	// identical at any setting (the sample pipeline is deterministic); only
-	// wall clock changes.
+	// Workers sizes the worker pools of the workbench's epochs, serving and
+	// cluster runs; <= 0 uses GOMAXPROCS. Results are identical at any
+	// setting (the sample pipeline is deterministic); only wall clock
+	// changes.
 	Workers int
 	// Faults configures deterministic fault injection for DyNN-Offload
 	// engines built by the workbench (zero Rate disables it). FaultSweep

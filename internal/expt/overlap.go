@@ -31,14 +31,10 @@ func NewSingleModelWorkbench(name string, opts Options) (*Workbench, error) {
 
 // TracedEpoch runs one epoch of mb.Test on the engine's sample pipeline
 // with span tracing attached (a nil tracer traces nothing).
-// Options.Workers sizes the pool (0 runs one worker); the report and the
-// span set are identical at any setting.
+// Options.Workers sizes the pool (<= 0 uses GOMAXPROCS); the report and
+// the span set are identical at any setting.
 func (wb *Workbench) TracedEpoch(eng *core.Engine, mb *ModelBench, tracer *obsv.Tracer) (core.EpochReport, error) {
-	workers := wb.Opts.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	return eng.ParallelRunEpoch(mb.Test, core.EpochOptions{Workers: workers, Tracer: tracer})
+	return eng.ParallelRunEpoch(mb.Test, core.EpochOptions{Workers: wb.Opts.Workers, Tracer: tracer})
 }
 
 // traceEpochOverlap runs a traced epoch and reduces the span set to its

@@ -1,8 +1,6 @@
 package pilot
 
 import (
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
@@ -45,22 +43,6 @@ type PathInfo struct {
 	Blocks    []sentinel.Block
 	Label     []float64   // MaxBlocks×DescriptorLen, padded
 	Stats     graph.Stats // aggregate over the full iteration
-
-	// Sig is the canonical control-flow signature of the resolved path
-	// (graph.PathSignature): decision vectors routing into the same operator
-	// sequence share one Sig, and with it one resolved plan.
-	Sig string
-	// PlanKey is a fixed-width digest of Sig plus the model-context
-	// fingerprint (cost model, partition budget, block clamp) — everything
-	// besides the path itself that the trace, analysis, and block partition
-	// were derived from. Two PathInfos with equal PlanKeys have numerically
-	// identical analyses and partitions, so they may share a resolved plan
-	// across engines and sweep grid points. The digest is a 128-bit
-	// graph.SignatureHash128 rendered as "ph1\x00" + 32 hex digits, so the
-	// plan cache's L2 map compares 36 bytes per probe instead of walking a
-	// signature string that grows with model depth. Empty on hand-built
-	// PathInfos, which then only plan-cache per engine by pointer identity.
-	PlanKey string
 }
 
 // ModelContext precomputes per-path information for one model. Because the
@@ -117,7 +99,6 @@ func NewModelContext(m dynn.Model, cm gpusim.CostModel, budget int64, maxBlocks 
 	}
 
 	// Second pass: partition and label.
-	fp := ctxFingerprint(cm, ctx.Budget, maxBlocks)
 	for _, info := range ctx.Paths {
 		blocks := info.Analysis.Partition(ctx.Budget)
 		if blocks == nil {
@@ -126,14 +107,13 @@ func NewModelContext(m dynn.Model, cm gpusim.CostModel, budget int64, maxBlocks 
 		blocks = clampBlocks(blocks, maxBlocks)
 		info.Blocks = blocks
 		info.Label = labelVector(info.Analysis, blocks, maxBlocks)
-		info.PlanKey = planKey(info.Sig, fp)
 	}
 	return ctx, nil
 }
 
 // AnalyzePaths enumerates the model's resolution paths and builds each one's
 // iteration, trace and liveness analysis: the part of NewModelContext that
-// neither partitions nor labels, so Blocks, Label and PlanKey stay unset.
+// neither partitions nor labels, so Blocks and Label stay unset.
 func AnalyzePaths(m dynn.Model, cm gpusim.CostModel) ([]*PathInfo, error) {
 	paths, err := graph.EnumeratePaths(m.Static())
 	if err != nil {
@@ -144,7 +124,7 @@ func AnalyzePaths(m dynn.Model, cm gpusim.CostModel) ([]*PathInfo, error) {
 		it := graph.ExpandTraining(m.Registry(), p.Resolved, m.WeightStates(), true)
 		tr := trace.FromIteration(m.Name(), it, cm)
 		infos[i] = &PathInfo{Key: PathKey(p.Resolved), Decisions: p.Decisions, Iteration: it, Trace: tr,
-			Analysis: sentinel.NewAnalysis(tr, cm), Stats: iterStats(tr), Sig: graph.PathSignature(p.Resolved)}
+			Analysis: sentinel.NewAnalysis(tr, cm), Stats: iterStats(tr)}
 	}
 	return infos, nil
 }
@@ -170,44 +150,6 @@ func PressurePlatform(m dynn.Model, plat gpusim.Platform, fraction float64) (gpu
 	p := plat.WithMemory(budget)
 	p.CPUMemBytes = 8 * maxPeak
 	return p, nil
-}
-
-// planKey renders the compact plan-sharing key: a versioned 128-bit digest of
-// the path signature and the context fingerprint (see PathInfo.PlanKey). The
-// "ph1\x00" prefix versions the hash construction and keeps the digest
-// disjoint from any legacy signature-string key (signatures never contain
-// NUL bytes in their first four characters' positions this way).
-func planKey(sig, fp string) string {
-	hi, lo := graph.SignatureHash128(sig, fp)
-	var d [16]byte
-	binary.BigEndian.PutUint64(d[:8], hi)
-	binary.BigEndian.PutUint64(d[8:], lo)
-	return "ph1\x00" + hex.EncodeToString(d[:])
-}
-
-// ctxFingerprint renders the context parameters a path's analysis and block
-// partition depend on, so PathInfo.PlanKey separates plans built under
-// different cost models or budgets (see PathInfo.PlanKey).
-func ctxFingerprint(cm gpusim.CostModel, budget int64, maxBlocks int) string {
-	var sb strings.Builder
-	f := func(v float64) {
-		sb.WriteByte(':')
-		sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	i := func(v int64) {
-		sb.WriteByte(':')
-		sb.WriteString(strconv.FormatInt(v, 10))
-	}
-	f(cm.Dev.FLOPS)
-	f(cm.Dev.MemBW)
-	f(cm.Dev.ComputeEff)
-	f(cm.Dev.BandwidthEff)
-	i(cm.Dev.LaunchNS)
-	f(cm.Link.BW)
-	i(cm.Link.LatencyNS)
-	i(budget)
-	i(int64(maxBlocks))
-	return sb.String()
 }
 
 // iterStats aggregates the bookkeeping record over a full iteration trace.

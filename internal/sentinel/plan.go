@@ -1,7 +1,5 @@
 package sentinel
 
-import "sync/atomic"
-
 // This file precomputes the per-block quantities the runtime's DES inner loop
 // queries while simulating one training iteration. The legacy path asked the
 // Analysis for fetch/evict/working sets per sample, paying a liveness walk
@@ -128,11 +126,3 @@ func BlocksDigest(blocks []Block) uint64 {
 	}
 	return h
 }
-
-// analysisIDs hands every Analysis a process-unique identity, used only as a
-// cache-key component (never in simulated results, so run-to-run variation
-// of the numbering cannot perturb any output).
-var analysisIDs atomic.Uint64
-
-// ID returns the analysis's process-unique identity.
-func (a *Analysis) ID() uint64 { return a.id }

@@ -68,8 +68,6 @@ type Analysis struct {
 	persistent []bool  // see PersistentBytes
 	timePfx    []int64 // prefix sums of op times
 
-	// id is a process-unique identity for plan-cache keying (see plan.go).
-	id uint64
 	// Iteration-level aggregates are pure functions of the trace; they are
 	// computed once here because the runtime consults them on every sample
 	// (capacity checks, the fits-GPU fast path) and a per-sample liveness
@@ -88,7 +86,6 @@ func NewAnalysis(tr *trace.Trace, cm gpusim.CostModel) *Analysis {
 		recStart: make([]int32, len(tr.Records)+1),
 		recOut:   make([]int32, len(tr.Records)),
 		timePfx:  make([]int64, len(tr.Records)+1),
-		id:       analysisIDs.Add(1),
 	}
 	// Number the table's tensors, then any a record names that the table
 	// lacks, and lay the references out record by record.
