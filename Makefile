@@ -68,12 +68,14 @@ perfbench-test:
 # writer accepts reads back equal and writes again to the same bytes),
 # FuzzMatVecT (the pilot MLPs' forward kernel in training and inference: both
 # MatVecT bodies, assembly and pure Go, against MatVec over the transpose:
-# equal bits) and FuzzSqDist16 (the nearest-path distance kernel: both
+# equal bits), FuzzSqDist16 (the nearest-path distance kernel: both
 # SqDist16 bodies against a naive scan: equal bits and the same abandon
-# decision). Each -fuzz pattern needs its own go test invocation; seed corpora
-# live in the packages' testdata/fuzz/ or their f.Add calls. CI runs this with
-# a short FUZZTIME as a smoke pass; raise it locally to dig (e.g. make fuzz
-# FUZZTIME=10m).
+# decision) and FuzzMomentumStep (the pilot MLPs' SGD-with-momentum weight
+# update: both MomentumStep bodies, assembly and pure Go: equal weights,
+# velocities and backprop sums). Each -fuzz pattern needs its own go test
+# invocation; seed corpora live in the packages' testdata/fuzz/ or their f.Add
+# calls. CI runs this with a short FUZZTIME as a smoke pass; raise it locally
+# to dig (e.g. make fuzz FUZZTIME=10m).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResolve$$' -fuzztime $(FUZZTIME) ./internal/dynn
 	$(GO) test -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime $(FUZZTIME) ./internal/sentinel
@@ -85,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadChromeTrace$$' -fuzztime $(FUZZTIME) ./internal/obsv
 	$(GO) test -run '^$$' -fuzz '^FuzzMatVecT$$' -fuzztime $(FUZZTIME) ./internal/mathx
 	$(GO) test -run '^$$' -fuzz '^FuzzSqDist16$$' -fuzztime $(FUZZTIME) ./internal/mathx
+	$(GO) test -run '^$$' -fuzz '^FuzzMomentumStep$$' -fuzztime $(FUZZTIME) ./internal/mathx
 
 # Coverage gate over the internal packages: fails below COVER_MIN% total.
 # Leaves coverage.out behind for inspection / CI artifact upload.

@@ -96,8 +96,12 @@ type planID struct {
 // mutex. Every engine holds one — Config.Plans when shared, else a private
 // cache — and one PlanCache may back any number of engines concurrently.
 type PlanCache struct {
-	mu      sync.Mutex // serializes inserts; lookups never take it
-	m       atomic.Pointer[map[planID]*ResolvedPlan]
+	mu sync.Mutex // serializes inserts; lookups never take it
+	m  atomic.Pointer[map[planID]*ResolvedPlan]
+	// Every lookup reads m and writes a counter. The pad keeps the counters
+	// off m's cache line, so one core's count does not evict the map
+	// pointer another core is about to read.
+	_       [64]byte
 	hits    atomic.Int64
 	misses  atomic.Int64
 	inserts atomic.Int64

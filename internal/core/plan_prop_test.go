@@ -170,3 +170,28 @@ func TestPartitionPlanEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPlanCacheHitParallel times warm PlanCache.Lookup calls from
+// every goroutine RunParallel starts (one per -cpu), over 64 cached paths.
+// Each hit reads the map pointer and bumps the hit counter; run it at
+// -cpu 1,2 to see what lookups on two cores cost each other.
+func BenchmarkPlanCacheHitParallel(b *testing.B) {
+	const capacity = 16 << 30
+	c := NewPlanCache()
+	infos := make([]*pilot.PathInfo, 64)
+	for i := range infos {
+		infos[i] = &pilot.PathInfo{}
+		c.insert(planID{path: infos[i], capacity: capacity}, &ResolvedPlan{})
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, ok := c.Lookup(infos[i%len(infos)], capacity); !ok {
+				b.Error("plan cache cold after warmup")
+				return
+			}
+			i++
+		}
+	})
+}

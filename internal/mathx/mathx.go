@@ -24,8 +24,9 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// useAVX selects the assembly bodies of MatVecT and SqDist16. It is
-// haveAVX; tests clear it to run the pure-Go bodies on an AVX host.
+// useAVX selects the assembly bodies of MatVecT, SqDist16 and
+// MomentumStep. It is haveAVX; tests clear it to run the pure-Go bodies on
+// an AVX host.
 var useAVX = haveAVX
 
 // MatVecT computes out = Aᵀ·x where A is rows×cols row-major and x has rows
@@ -66,6 +67,84 @@ func matVecTGo(a []float64, rows, cols int, x, out []float64) {
 		}
 		for c, v := range row {
 			out[c] += v * xr
+		}
+	}
+}
+
+// MomentumStep is the weight half of one SGD-with-momentum step of a
+// fully-connected layer: w and its velocities v are rows×cols row-major
+// (In×Out, w[c*cols+r] weighs input c into output r), x is the layer's
+// input and delta its output deltas. For every weight it computes
+//
+//	a = v·mo;  a += (nlr·delta[r])·x[c];  v = a;  w += a
+//
+// where an output whose delta is exactly 0 skips the gradient term, and,
+// when below is non-nil, below[c] = Σ_r w·delta[r] over the weights as they
+// were before the step, summed in order from +0 and skipping the same
+// outputs. v·mo is rounded on its own (the float64 conversion), so no
+// platform fuses it with the following add.
+//
+// On amd64 CPUs with AVX, when cols is a multiple of 4, the rows go four at
+// a time through assembly and the last rows%4 through the pure-Go body;
+// rows are independent, and the assembly rounds every product and sum the
+// Go body rounds, in its order, so the bits are the same. (The assembly
+// subtracts (−nlr·d)·x where the Go body adds (nlr·d)·x; that would flip
+// the sign of a NaN nlr, so a NaN nlr stays on the Go body.)
+func MomentumStep(w, v []float64, rows, cols int, x, delta, below []float64, nlr, mo float64) {
+	if len(w) != rows*cols || len(v) != rows*cols || len(x) != rows || len(delta) != cols ||
+		(below != nil && len(below) != rows) {
+		panic("mathx: MomentumStep shape mismatch") //dynnlint:ignore panicfree shape mismatch is a caller bug; hot-path kernel fails fast like stdlib
+	}
+	c := 0
+	if useAVX && cols%4 == 0 && !math.IsNaN(nlr) {
+		c = rows &^ 3
+		momentumStepAVX(w, v, c, cols, x, delta, below, -nlr, mo)
+	}
+	momentumStepGo(w, v, c, rows, cols, x, delta, below, nlr, mo)
+}
+
+// momentumStepGo is MomentumStep's pure-Go body from row c on, and the
+// oracle for the assembly one. It walks two rows per pass, so their backprop
+// sums are two independent add chains that the CPU overlaps, and keeps the
+// a += f·x shape, so a GOARCH that fuses multiply-adds (arm64) fuses here
+// exactly where a separate outer-product pass would.
+func momentumStepGo(w, v []float64, c, rows, n int, x, delta, below []float64, nlr, mo float64) {
+	for ; c+2 <= rows; c += 2 {
+		w0, w1 := w[c*n:][:n], w[(c+1)*n:][:n]
+		v0, v1 := v[c*n:][:n], v[(c+1)*n:][:n]
+		x0, x1 := x[c], x[c+1]
+		var s0, s1 float64
+		for r, d := range delta {
+			a0, a1 := float64(v0[r]*mo), float64(v1[r]*mo)
+			if d != 0 {
+				s0 += w0[r] * d
+				s1 += w1[r] * d
+				f := nlr * d
+				a0 += f * x0
+				a1 += f * x1
+			}
+			v0[r], v1[r] = a0, a1
+			w0[r] += a0
+			w1[r] += a1
+		}
+		if below != nil {
+			below[c], below[c+1] = s0, s1
+		}
+	}
+	if c < rows { // the last row of an odd-height layer
+		wc, vc, xc := w[c*n:][:n], v[c*n:][:n], x[c]
+		var s float64
+		for r, d := range delta {
+			if d == 0 {
+				vc[r] *= mo
+			} else {
+				s += wc[r] * d
+				vc[r] = float64(vc[r]*mo) + nlr*d*xc
+			}
+			wc[r] += vc[r]
+		}
+		if below != nil {
+			below[c] = s
 		}
 	}
 }

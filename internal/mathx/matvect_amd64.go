@@ -19,3 +19,10 @@ func matVecTAVX(a []float64, rows, cols int, x, out []float64)
 //
 //go:noescape
 func sqDist16AVX(block, pred []float64, rowLen int, bound float64, out *[Lanes]float64) bool
+
+// momentumStepAVX is MomentumStep's AVX body for the first rows rows, with
+// lr = −nlr; rows and cols are multiples of 4 and MomentumStep has checked
+// the shapes.
+//
+//go:noescape
+func momentumStepAVX(w, v []float64, rows, cols int, x, delta, below []float64, lr, mo float64)

@@ -143,16 +143,27 @@ func sameBits(what string, got, want []float64) error {
 // SGD (momentum 0) never reads velocities, so there they must stay nil.
 // ReLU hidden layers and targets copied from the current output make many
 // deltas exactly 0, so the zero-row skips are exercised on every layer.
+// Three shapes: a small one; the pilot's (107-128-128-100), whose hidden
+// layers run mathx.MomentumStep's AVX body, with three Go tail rows below
+// the first; and one whose 9-input layer leaves a single odd tail row and
+// whose 9- and 6-wide layers (Out%4 ≠ 0) run the Go body alone.
 func TestFusedTrainStepMatchesOracle(t *testing.T) {
+	for _, sizes := range [][]int{{7, 16, 12, 5}, {107, 128, 128, 100}, {13, 9, 16, 6}} {
+		t.Run(fmt.Sprint(sizes), func(t *testing.T) { fusedMatchesOracle(t, sizes) })
+	}
+}
+
+func fusedMatchesOracle(t *testing.T, sizes []int) {
 	const epochs, samples = 4, 24
 	data := mathx.NewRNG(3)
 	ins := make([][]float64, samples)
 	for i := range ins {
-		ins[i] = make([]float64, 7)
+		ins[i] = make([]float64, sizes[0])
 		data.NormVec(ins[i], 1)
 	}
+	nOut := sizes[len(sizes)-1]
 	for _, act := range []Activation{ReLU, LeakyReLU} {
-		base := NewMLP([]int{7, 16, 12, 5}, act, mathx.NewRNG(9))
+		base := NewMLP(sizes, act, mathx.NewRNG(9))
 		last := len(base.Layers) - 1
 		for _, from := range []int{0, 1, last} {
 			for _, momentum := range []float64{0.9, 0} {
@@ -160,7 +171,7 @@ func TestFusedTrainStepMatchesOracle(t *testing.T) {
 				zeroRows := 0
 				for e := 0; e < epochs; e++ {
 					for i, in := range ins {
-						target := make([]float64, 5)
+						target := make([]float64, nOut)
 						data.NormVec(target, 2)
 						// Half the samples ask for the output they already
 						// give on some columns: those output deltas are 0.

@@ -118,11 +118,29 @@ func NewLayer(in, out int, act Activation, rng *mathx.RNG) *Layer {
 func (l *Layer) Params() int { return len(l.W) + len(l.B) }
 
 // Forward computes the layer output into out (length Out). It only reads
-// the layer, so any number of Forward calls may run at once.
+// the layer, so any number of Forward calls may run at once. The pilot's
+// two activations, LeakyReLU and Identity, run as loops of their own, with
+// apply's arithmetic but no per-element switch.
 func (l *Layer) Forward(in, out []float64) {
 	mathx.MatVecT(l.W, l.In, l.Out, in, out)
-	for i := range out {
-		out[i] = l.Act.apply(out[i] + l.B[i])
+	b := l.B[:len(out)]
+	switch l.Act {
+	case LeakyReLU:
+		for i, v := range out {
+			v += b[i]
+			if v < 0 {
+				v = leakySlope * v
+			}
+			out[i] = v
+		}
+	case Identity:
+		for i := range out {
+			out[i] += b[i]
+		}
+	default:
+		for i := range out {
+			out[i] = l.Act.apply(out[i] + b[i])
+		}
 	}
 }
 
@@ -296,8 +314,8 @@ func (m *MLP) TrainStepFrom(in, target []float64, lr, momentum float64, from int
 //   - v·mo is rounded on its own (the float64 conversion), so no platform
 //     fuses it with the following add into one multiply-add.
 //
-// With momentum it walks two input rows per pass, so their backprop sums
-// are two independent add chains that the CPU overlaps.
+// The weights' momentum update is mathx.MomentumStep, which runs four rows
+// at a time in AVX assembly where the CPU has it.
 func (l *Layer) step(delta, x, below []float64, lr, mo float64) {
 	n, nlr := len(delta), -lr
 	for r, d := range delta {
@@ -308,46 +326,15 @@ func (l *Layer) step(delta, x, below []float64, lr, mo float64) {
 			l.B[r] += nlr * d
 		}
 	}
-	c := 0
-	for ; mo > 0 && c+2 <= l.In; c += 2 {
-		w0, w1 := l.W[c*n:][:n], l.W[(c+1)*n:][:n]
-		v0, v1 := l.vW[c*n:][:n], l.vW[(c+1)*n:][:n]
-		x0, x1 := x[c], x[c+1]
-		var s0, s1 float64
-		for r, d := range delta {
-			a0, a1 := float64(v0[r]*mo), float64(v1[r]*mo)
-			if d != 0 {
-				s0 += w0[r] * d
-				s1 += w1[r] * d
-				f := nlr * d
-				a0 += f * x0
-				a1 += f * x1
-			}
-			v0[r], v1[r] = a0, a1
-			w0[r] += a0
-			w1[r] += a1
-		}
-		if below != nil {
-			below[c], below[c+1] = s0, s1
-		}
+	if mo > 0 {
+		mathx.MomentumStep(l.W, l.vW, l.In, n, x, delta, below, nlr, mo)
+		return
 	}
-	// Plain SGD, and the last row of an odd-height layer with momentum.
-	for ; c < l.In; c++ {
-		w, v, xc := l.W[c*n:][:n], []float64(nil), x[c]
-		if mo > 0 {
-			v = l.vW[c*n:][:n]
-		}
+	for c := 0; c < l.In; c++ {
+		w, xc := l.W[c*n:][:n], x[c]
 		var s float64
 		for r, d := range delta {
-			switch {
-			case mo > 0 && d == 0:
-				v[r] *= mo
-				w[r] += v[r]
-			case mo > 0:
-				s += w[r] * d
-				v[r] = float64(v[r]*mo) + nlr*d*xc
-				w[r] += v[r]
-			case d != 0:
+			if d != 0 {
 				s += w[r] * d
 				w[r] += nlr * d * xc
 			}
