@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 20s
 COVER_MIN ?= 70
 
-.PHONY: build test check race race-full fmt vet vet-arm64 lint bench perfbench-test fuzz cover trace serve-smoke cluster-smoke
+.PHONY: build test check race race-full fmt vet vet-arm64 lint bench epoch-smoke perfbench-test fuzz cover trace serve-smoke cluster-smoke
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,14 @@ race-full:
 # internal/expt, part of the test target.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
+
+# Two-worker epoch smoke: the worker-pool speedup check run alone, where no
+# other test binary holds the cores (under go test ./... it skips when the
+# host has no free core for it), then one epoch of BenchmarkTrainEpoch at 1
+# and 2 workers through the facade.
+epoch-smoke:
+	$(GO) test -count=1 -run '^TestParallelEpochSpeedup$$' -v ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkTrainEpoch$$' -benchtime 1x .
 
 # The whole-run benchmark's own tests (its statistics and the
 # BENCHMARK.json <-> metric catalog check). perfbench is a separate module

@@ -10,6 +10,7 @@
 package dynnoffload
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -381,5 +382,46 @@ func BenchmarkOnlineRetrain(b *testing.B) {
 		if _, err := l.Observe(0, exs[i%len(exs)], i%3 == 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTrainEpoch times the facade's System.TrainEpoch on Tree-LSTM
+// under 50% memory pressure at one worker and at two: one op is one epoch
+// over the 100 held-out samples, reported per sample as us/item. Setup
+// (model context, pilot training, a warm-up epoch that fills the plan and
+// mis-prediction caches) happens before the timer starts, so the op is the
+// steady-state epoch: example building, pilot resolution, the serial
+// decision pass and simulation.
+func BenchmarkTrainEpoch(b *testing.B) {
+	o := benchOpts()
+	corpus := GenerateSamples(o.Seed, o.TrainSamples+o.TestSamples, 8, 48)
+	train, test := corpus[:o.TrainSamples], corpus[o.TrainSamples:]
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			m, err := ZooModel("Tree-LSTM", o.Batch, o.Seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys, err := NewSystem(m,
+				WithWorkers(workers),
+				WithMemoryPressure(o.PressureFraction),
+				WithPilotConfig(PilotConfig{Neurons: o.Neurons, Epochs: o.Epochs, Seed: o.Seed}))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sys.TrainPilot(train); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sys.TrainEpoch(test); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.TrainEpoch(test); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(test)), "us/item")
+		})
 	}
 }

@@ -364,26 +364,18 @@ const (
 // iteration (forward + backward + optimizer), as cmd/tracegen writes to
 // JSON.
 func (s *System) Trace(sample *dynn.Sample) (*trace.Trace, error) {
-	r, err := s.cfg.Model.Resolve(sample)
+	info, err := s.ctx.TruthPath(sample)
 	if err != nil {
-		return nil, err
-	}
-	info := s.ctx.PathByKey(pilot.PathKey(r))
-	if info == nil {
-		return nil, fmt.Errorf("dynnoffload: %w", ErrUnknownPath)
+		return nil, fmt.Errorf("dynnoffload: %w", err)
 	}
 	return info.Trace, nil
 }
 
 // Blocks returns the Sentinel execution-block partition for a sample's path.
 func (s *System) Blocks(sample *dynn.Sample) ([]sentinel.Block, error) {
-	r, err := s.cfg.Model.Resolve(sample)
+	info, err := s.ctx.TruthPath(sample)
 	if err != nil {
-		return nil, err
-	}
-	info := s.ctx.PathByKey(pilot.PathKey(r))
-	if info == nil {
-		return nil, fmt.Errorf("dynnoffload: %w", ErrUnknownPath)
+		return nil, fmt.Errorf("dynnoffload: %w", err)
 	}
 	return info.Blocks, nil
 }

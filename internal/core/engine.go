@@ -23,8 +23,9 @@ var (
 	// errors.Is matches against either sentinel.
 	ErrPilotNotTrained = fmt.Errorf("core: pilot not trained: %w", pilot.ErrNotTrained)
 	// ErrUnknownPath is returned when a sample's path key does not resolve
-	// in its model context.
-	ErrUnknownPath = errors.New("core: unknown resolution path")
+	// in its model context. It is pilot.ErrUnknownPath itself, so a truth-path
+	// lookup (pilot.ModelContext.TruthPath) fails with the same sentinel.
+	ErrUnknownPath = pilot.ErrUnknownPath
 	// ErrCapacityExceeded is returned when a path cannot run under the
 	// platform's CPU+GPU memory or the double-buffer work budget.
 	ErrCapacityExceeded = errors.New("core: capacity exceeded")

@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,36 +195,114 @@ func TestConcurrentRunSample(t *testing.T) {
 }
 
 // TestParallelEpochSpeedup checks that the worker pool actually buys wall
-// clock on multi-core hosts. Skipped below 4 CPUs: goroutines time-slicing
+// clock on multi-core hosts: 2 workers against 1 from 2 CPUs up, and 4
+// against 1 from 4 CPUs up. Each side is timed as the fastest of three runs
+// of 20 fresh-engine epochs. Below 2 CPUs it skips: goroutines time-slicing
 // one core cannot beat a single worker, and the determinism tests above
 // already cover correctness there.
+//
+// On a 2-vCPU host the pool reads 1.21–1.31x at 2 workers (1.37–1.48x under
+// -race), and a pool that keeps one core feeding its workers reads below
+// 1.0x; the 1.1x floor sits between. A run counts only when the host has the
+// cores free at that moment (see hostSpeedup); when it never does, the check
+// skips.
 func TestParallelEpochSpeedup(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("GOMAXPROCS=%d: need >=4 CPUs for a meaningful speedup check", runtime.GOMAXPROCS(0))
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skipf("GOMAXPROCS=%d: need >=2 CPUs for a meaningful speedup check", runtime.GOMAXPROCS(0))
 	}
 	_, test, p, plat := testBench(t)
 
-	epoch := func(workers int) time.Duration {
-		eng := NewEngine(DefaultConfig(plat), p)
+	epochs := func(workers int) time.Duration {
 		t0 := time.Now()
-		if _, err := eng.ParallelRunEpoch(test, EpochOptions{Workers: workers}); err != nil {
-			t.Fatal(err)
+		for k := 0; k < 20; k++ {
+			eng := NewEngine(DefaultConfig(plat), p)
+			if _, err := eng.ParallelRunEpoch(test, EpochOptions{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return time.Since(t0)
 	}
-	epoch(1) // warm up allocator and branch predictors
-	best := 0.0
-	for attempt := 0; attempt < 3; attempt++ {
-		serial := epoch(1)
-		par := epoch(4)
-		if s := float64(serial) / float64(par); s > best {
-			best = s
+	epochs(1) // warm up allocator and branch predictors
+	for _, c := range []struct {
+		workers int
+		min     float64
+	}{{2, 1.1}, {4, 1.5}} {
+		t.Run(fmt.Sprintf("workers=%d", c.workers), func(t *testing.T) {
+			if runtime.GOMAXPROCS(0) < c.workers {
+				t.Skipf("GOMAXPROCS=%d: need >=%d CPUs", runtime.GOMAXPROCS(0), c.workers)
+			}
+			measured := false
+			for attempt := 0; attempt < 3; attempt++ {
+				if host := hostSpeedup(c.workers); host < 0.8*float64(c.workers) {
+					t.Logf("attempt %d: host gives only %.2fx on %d goroutines; not counted", attempt, host, c.workers)
+					continue
+				}
+				serial, par := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+				for run := 0; run < 3; run++ {
+					serial = min(serial, epochs(1))
+					par = min(par, epochs(c.workers))
+				}
+				speedup := float64(serial) / float64(par)
+				t.Logf("attempt %d: %d-worker epochs %.2fx faster than 1 worker", attempt, c.workers, speedup)
+				if speedup >= c.min {
+					return
+				}
+				measured = true
+			}
+			if !measured {
+				t.Skipf("host never had %d free CPUs", c.workers)
+			}
+			t.Errorf("%d-worker epoch below %.2fx of 1 worker", c.workers, c.min)
+		})
+	}
+}
+
+// spinSink keeps hostSpeedup's loop from being optimized away.
+var spinSink atomic.Uint64
+
+// hostSpeedup is the wall-clock speedup the host gives right now to a fixed
+// CPU-bound loop split over workers plain goroutines, against one goroutine
+// running all of it: about workers on idle cores, about 1 when other work
+// holds them.
+func hostSpeedup(workers int) float64 {
+	const iters = 1 << 22
+	spin := func(n int) {
+		x := 1.0
+		for i := 0; i < n; i++ {
+			x = x*0.999999 + 1e-6
 		}
-		if best >= 1.5 {
-			return
+		spinSink.Store(math.Float64bits(x))
+	}
+	t0 := time.Now()
+	spin(workers * iters)
+	serial := time.Since(t0)
+	t0 = time.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spin(iters)
+		}()
+	}
+	wg.Wait()
+	return float64(serial) / float64(time.Since(t0))
+}
+
+// TestFanOut: every index in [0, n) runs exactly once at any pool size,
+// including pools larger than n.
+func TestFanOut(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 1000} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			runs := make([]atomic.Int32, n)
+			fanOut(n, workers, func(i int) { runs[i].Add(1) })
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Errorf("n=%d workers=%d: index %d ran %d times", n, workers, i, got)
+				}
+			}
 		}
 	}
-	t.Errorf("4-worker epoch only %.2fx faster than 1 worker, want >=1.5x", best)
 }
 
 // TestEpochErrorContract: RunEpoch, ParallelRunEpoch at 1 and 4 workers and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"dynnoffload/internal/faults"
 	"dynnoffload/internal/obsv"
@@ -218,8 +219,11 @@ func faultStats(c faults.Counters) obsv.FaultStats {
 	}
 }
 
-// fanOut runs fn(i) for i in [0, n) across a pool of workers; with one
-// worker, on the caller's goroutine.
+// fanOut runs fn(i) once for every i in [0, n) across workers goroutines
+// that share one atomic cursor: each claims the next unclaimed index until
+// none is left. The caller runs as worker 0, so workers-1 goroutines are
+// started; with one worker everything runs on the caller's goroutine. fn
+// must write its result by index, never by claim order.
 func fanOut(n, workers int, fn func(i int)) {
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
@@ -227,20 +231,24 @@ func fanOut(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	idx := make(chan int, workers)
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
+	work()
 	wg.Wait()
 }

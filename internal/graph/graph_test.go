@@ -73,6 +73,61 @@ func TestResolveErrors(t *testing.T) {
 	}
 }
 
+// TestReachedSitesNested: on a graph with a zero-minimum repeat whose body
+// nests a branch in a branch, ReachedSites agrees with Resolve on every
+// decision vector with each site one below to one above its range: the same
+// failures, and the same reached sites otherwise.
+func TestReachedSitesNested(t *testing.T) {
+	var reg tensor.Registry
+	mk := func(name string) OpElem {
+		in := reg.New(name+".in", tensor.Activation, tensor.F32, 4, 4)
+		out := reg.New(name+".out", tensor.Activation, tensor.F32, 4, 4)
+		return OpElem{Op: NewOp("add", 16, []*tensor.Meta{in}, []*tensor.Meta{out})}
+	}
+	s := &Static{
+		ModelName: "nested",
+		NumSites:  3,
+		Elems: []Elem{
+			mk("a"),
+			Repeat{Site: 0, Min: 0, Max: 2, Body: []Elem{
+				Branch{Site: 1, Arms: [][]Elem{
+					{mk("b0")},
+					{Branch{Site: 2, Arms: [][]Elem{{mk("c0")}, {mk("c1")}}}},
+				}},
+			}},
+		},
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ranges := s.DecisionRange()
+	reached := make([]bool, s.NumSites)
+	decisions := make([]int, s.NumSites)
+	var try func(site int)
+	try = func(site int) {
+		if site == s.NumSites {
+			r, rerr := Resolve(s, decisions)
+			werr := ReachedSites(s, decisions, reached)
+			if (rerr == nil) != (werr == nil) {
+				t.Fatalf("%v: Resolve err %v, ReachedSites err %v", decisions, rerr, werr)
+			}
+			if rerr == nil {
+				for i := range reached {
+					if reached[i] != r.Reached[i] {
+						t.Fatalf("%v: reached %v, Resolve reached %v", decisions, reached, r.Reached)
+					}
+				}
+			}
+			return
+		}
+		for d := -1; d <= ranges[site]; d++ {
+			decisions[site] = d
+			try(site + 1)
+		}
+	}
+	try(0)
+}
+
 func TestDecisionRange(t *testing.T) {
 	s, _ := miniArch(t)
 	r := s.DecisionRange()

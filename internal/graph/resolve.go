@@ -27,41 +27,63 @@ func Resolve(s *Static, decisions []int) (*Resolved, error) {
 		Decisions: append([]int(nil), decisions...),
 		Reached:   make([]bool, s.NumSites),
 	}
-	var walk func(elems []Elem) error
-	walk = func(elems []Elem) error {
-		for _, e := range elems {
-			switch v := e.(type) {
-			case OpElem:
-				r.Ops = append(r.Ops, v.Op)
-			case Branch:
-				d := decisions[v.Site]
-				if d < 0 || d >= len(v.Arms) {
-					return fmt.Errorf("graph: site %d decision %d out of [0,%d)", v.Site, d, len(v.Arms))
-				}
-				r.Reached[v.Site] = true
-				if err := walk(v.Arms[d]); err != nil {
-					return err
-				}
-			case Repeat:
-				d := decisions[v.Site]
-				count := v.Min + d
-				if d < 0 || count > v.Max {
-					return fmt.Errorf("graph: site %d repeat decision %d out of range", v.Site, d)
-				}
-				r.Reached[v.Site] = true
-				for i := 0; i < count; i++ {
-					if err := walk(v.Body); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	}
-	if err := walk(s.Elems); err != nil {
+	if err := walkResolve(s.Elems, decisions, r.Reached, &r.Ops); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// ReachedSites is Resolve without the operator sequence: it marks in reached
+// (len NumSites, cleared first) the sites the decisions reach and fails
+// exactly when Resolve would, with the same error. A repeat body is walked
+// once when its count is positive: every pass reaches the same sites.
+func ReachedSites(s *Static, decisions []int, reached []bool) error {
+	if len(decisions) != s.NumSites {
+		return fmt.Errorf("graph: got %d decisions, want %d", len(decisions), s.NumSites)
+	}
+	if len(reached) != s.NumSites {
+		return fmt.Errorf("graph: got %d reached slots, want %d", len(reached), s.NumSites)
+	}
+	clear(reached)
+	return walkResolve(s.Elems, decisions, reached, nil)
+}
+
+// walkResolve resolves elems under decisions, marking reached sites and
+// appending each operator to *ops; a nil ops walks the sites only.
+func walkResolve(elems []Elem, decisions []int, reached []bool, ops *[]*Op) error {
+	for _, e := range elems {
+		switch v := e.(type) {
+		case OpElem:
+			if ops != nil {
+				*ops = append(*ops, v.Op)
+			}
+		case Branch:
+			d := decisions[v.Site]
+			if d < 0 || d >= len(v.Arms) {
+				return fmt.Errorf("graph: site %d decision %d out of [0,%d)", v.Site, d, len(v.Arms))
+			}
+			reached[v.Site] = true
+			if err := walkResolve(v.Arms[d], decisions, reached, ops); err != nil {
+				return err
+			}
+		case Repeat:
+			d := decisions[v.Site]
+			count := v.Min + d
+			if d < 0 || count > v.Max {
+				return fmt.Errorf("graph: site %d repeat decision %d out of range", v.Site, d)
+			}
+			reached[v.Site] = true
+			if ops == nil {
+				count = min(count, 1)
+			}
+			for i := 0; i < count; i++ {
+				if err := walkResolve(v.Body, decisions, reached, ops); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Stats are the bookkeeping aggregates the paper's output-mapping traverse

@@ -1,9 +1,9 @@
 package pilot
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"dynnoffload/internal/dynn"
 	"dynnoffload/internal/gpusim"
@@ -16,18 +16,27 @@ import (
 // (the paper: the number of blocks is typically O(10)).
 const DefaultMaxBlocks = 10
 
+// ErrUnknownPath is returned when a sample resolves to a path absent from
+// its model context. Callers match it with errors.Is.
+var ErrUnknownPath = errors.New("pilot: unknown resolution path")
+
 // PathKey identifies a resolution path by its reached-site decisions.
 func PathKey(r *graph.Resolved) string {
-	var sb strings.Builder
-	for site, d := range r.Decisions {
-		if !r.Reached[site] {
-			sb.WriteString("-,")
+	return string(appendPathKey(nil, r.Decisions, r.Reached))
+}
+
+// appendPathKey appends the path key of (decisions, reached) to buf: per
+// site, its decision and a comma, or "-," when the site is not reached.
+func appendPathKey(buf []byte, decisions []int, reached []bool) []byte {
+	for site, d := range decisions {
+		if !reached[site] {
+			buf = append(buf, '-', ',')
 			continue
 		}
-		sb.WriteString(strconv.Itoa(d))
-		sb.WriteByte(',')
+		buf = strconv.AppendInt(buf, int64(d), 10)
+		buf = append(buf, ',')
 	}
-	return sb.String()
+	return buf
 }
 
 // PathInfo caches everything the trainer and runtime need for one resolution
@@ -186,15 +195,27 @@ func labelVector(a *sentinel.Analysis, blocks []sentinel.Block, maxBlocks int) [
 // PathByKey returns the cached path info, or nil.
 func (ctx *ModelContext) PathByKey(key string) *PathInfo { return ctx.byKey[key] }
 
-// TruthPath resolves the ground-truth path for a sample.
+// TruthPath resolves the ground-truth path for a sample. It walks only the
+// control sites (graph.ReachedSites) and builds the key on the stack, so a
+// lookup allocates nothing beyond the model's decision vector. A sample
+// whose path is not in the context fails with ErrUnknownPath.
 func (ctx *ModelContext) TruthPath(s *dynn.Sample) (*PathInfo, error) {
-	r, err := ctx.Model.Resolve(s)
-	if err != nil {
+	static := ctx.Model.Static()
+	decisions := ctx.Model.Decide(s)
+	var reachedBuf [64]bool
+	reached := reachedBuf[:]
+	if static.NumSites <= len(reached) {
+		reached = reached[:static.NumSites]
+	} else {
+		reached = make([]bool, static.NumSites)
+	}
+	if err := graph.ReachedSites(static, decisions, reached); err != nil {
 		return nil, err
 	}
-	info := ctx.byKey[PathKey(r)]
+	var keyBuf [128]byte
+	info := ctx.byKey[string(appendPathKey(keyBuf[:0], decisions, reached))]
 	if info == nil {
-		return nil, fmt.Errorf("pilot: %s: sample %d resolves to unknown path", ctx.Model.Name(), s.ID)
+		return nil, fmt.Errorf("pilot: %s: sample %d: %w", ctx.Model.Name(), s.ID, ErrUnknownPath)
 	}
 	return info, nil
 }
