@@ -197,15 +197,17 @@ func TestConcurrentRunSample(t *testing.T) {
 // TestParallelEpochSpeedup checks that the worker pool actually buys wall
 // clock on multi-core hosts: 2 workers against 1 from 2 CPUs up, and 4
 // against 1 from 4 CPUs up. Each side is timed as the fastest of three runs
-// of 20 fresh-engine epochs. Below 2 CPUs it skips: goroutines time-slicing
-// one core cannot beat a single worker, and the determinism tests above
-// already cover correctness there.
+// of 20 fresh-engine epochs, in up to three attempts. Below 2 CPUs it skips:
+// goroutines time-slicing one core cannot beat a single worker, and the
+// determinism tests above already cover correctness there.
 //
 // On a 2-vCPU host the pool reads 1.21–1.31x at 2 workers (1.37–1.48x under
 // -race), and a pool that keeps one core feeding its workers reads below
-// 1.0x; the 1.1x floor sits between. A run counts only when the host has the
-// cores free at that moment (see hostSpeedup); when it never does, the check
-// skips.
+// 1.0x; the 1.1x floor sits between. There the two workers need every core,
+// which another test binary often holds, so a 2-worker attempt counts only
+// when the host gives both cores to plain goroutines just before and just
+// after it (see hostSpeedup); when no attempt does, the subtest skips. The
+// 4-worker check counts every attempt and fails below 1.5x.
 func TestParallelEpochSpeedup(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skipf("GOMAXPROCS=%d: need >=2 CPUs for a meaningful speedup check", runtime.GOMAXPROCS(0))
@@ -224,23 +226,37 @@ func TestParallelEpochSpeedup(t *testing.T) {
 	}
 	epochs(1) // warm up allocator and branch predictors
 	for _, c := range []struct {
-		workers int
-		min     float64
-	}{{2, 1.1}, {4, 1.5}} {
+		workers   int
+		min       float64
+		calibrate bool // count an attempt only when the host has the cores free
+	}{{2, 1.1, true}, {4, 1.5, false}} {
 		t.Run(fmt.Sprintf("workers=%d", c.workers), func(t *testing.T) {
 			if runtime.GOMAXPROCS(0) < c.workers {
 				t.Skipf("GOMAXPROCS=%d: need >=%d CPUs", runtime.GOMAXPROCS(0), c.workers)
 			}
+			hostFree := func(attempt int, when string) bool {
+				if !c.calibrate {
+					return true
+				}
+				host := hostSpeedup(c.workers)
+				if host < 0.8*float64(c.workers) {
+					t.Logf("attempt %d: host gives only %.2fx on %d goroutines %s; not counted", attempt, host, c.workers, when)
+					return false
+				}
+				return true
+			}
 			measured := false
 			for attempt := 0; attempt < 3; attempt++ {
-				if host := hostSpeedup(c.workers); host < 0.8*float64(c.workers) {
-					t.Logf("attempt %d: host gives only %.2fx on %d goroutines; not counted", attempt, host, c.workers)
+				if !hostFree(attempt, "before") {
 					continue
 				}
 				serial, par := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 				for run := 0; run < 3; run++ {
 					serial = min(serial, epochs(1))
 					par = min(par, epochs(c.workers))
+				}
+				if !hostFree(attempt, "after") {
+					continue
 				}
 				speedup := float64(serial) / float64(par)
 				t.Logf("attempt %d: %d-worker epochs %.2fx faster than 1 worker", attempt, c.workers, speedup)

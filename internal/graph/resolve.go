@@ -73,7 +73,7 @@ func walkResolve(elems []Elem, decisions []int, reached []bool, ops *[]*Op) erro
 				return fmt.Errorf("graph: site %d repeat decision %d out of range", v.Site, d)
 			}
 			reached[v.Site] = true
-			if ops == nil {
+			if ops == nil { // every pass reaches the same sites
 				count = min(count, 1)
 			}
 			for i := 0; i < count; i++ {
