@@ -26,9 +26,10 @@ fmt:
 
 # Project-specific static analysis (internal/lint): determinism, float
 # equality, error discipline, library panics, and clock units. Fails on any
-# unsuppressed finding. Lock copies are go vet's copylocks check (vet).
+# unsuppressed finding. Lock copies are go vet's copylocks check (vet). The
+# same run writes its findings as SARIF to dynnlint.sarif for code scanning.
 lint:
-	$(GO) run ./cmd/dynnlint ./...
+	$(GO) run ./cmd/dynnlint -sarif dynnlint.sarif ./...
 
 # Race-check the concurrent runtime (the engine caches, parallel epochs, pilot),
 # the packages the fault injector threads through (simulator, counters), and

@@ -216,7 +216,7 @@ func TestParallelTrainEpoch(t *testing.T) {
 	if stats.Samples != int64(got.Samples) || stats.SamplesPerSec <= 0 {
 		t.Errorf("bad run stats: %+v", stats)
 	}
-	if cs := par.CacheStats(); cs.Hits != int64(got.CacheHits) {
+	if cs := par.engine.CacheStats(); cs.Hits != int64(got.CacheHits) {
 		t.Errorf("cache stats inconsistent: %+v vs report %+v", cs, got)
 	}
 	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {

@@ -56,7 +56,7 @@ var (
 )
 
 // clusterSettings is the resolved configuration a Cluster runs under;
-// NewCluster and System.Cluster assemble it from functional options.
+// NewCluster assembles it from functional options.
 type clusterSettings struct {
 	gpus     int
 	tracer   *Tracer
@@ -98,8 +98,7 @@ func WithOnlineLearning(cfg OnlineConfig) ClusterOption {
 }
 
 // WithSystemOptions forwards options to the underlying NewSystem call
-// (platform, pilot config, workers, fault injection). Only valid with
-// NewCluster; System.Cluster already has its system.
+// (platform, pilot config, workers, fault injection).
 func WithSystemOptions(opts ...Option) ClusterOption {
 	return func(c *clusterSettings) { c.sysOpts = append(c.sysOpts, opts...) }
 }
@@ -135,34 +134,16 @@ func NewCluster(model Model, opts ...ClusterOption) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sys.cluster(cs)
-}
-
-// Cluster builds a cluster runtime over this system (its platform, pilot,
-// worker pool, and fault config). WithSystemOptions is rejected here — the
-// system is already built.
-func (s *System) Cluster(opts ...ClusterOption) (*Cluster, error) {
-	cs := clusterSettings{gpus: 1}
-	for _, o := range opts {
-		o(&cs)
-	}
-	if len(cs.sysOpts) > 0 {
-		return nil, fmt.Errorf("%w: WithSystemOptions applies to NewCluster, not System.Cluster", ErrBadCluster)
-	}
-	return s.cluster(cs)
-}
-
-func (s *System) cluster(cs clusterSettings) (*Cluster, error) {
 	if cs.gpus < 1 {
 		return nil, fmt.Errorf("%w: GPUs = %d", ErrBadCluster, cs.gpus)
 	}
 	// The interconnect is the platform's default wiring, and each training
 	// step ring-all-reduces the model's whole gradient footprint.
 	c := &Cluster{
-		sys: s, gpus: cs.gpus, topology: DefaultTopology(s.cfg.Platform),
+		sys: sys, gpus: cs.gpus, topology: DefaultTopology(sys.cfg.Platform),
 		tracer: cs.tracer, onDemand: cs.onDemand, online: cs.online,
 	}
-	for _, ws := range s.cfg.Model.WeightStates() {
+	for _, ws := range sys.cfg.Model.WeightStates() {
 		c.grad += ws.Grad.Bytes()
 	}
 	// Validate the wiring now, not on first use.
@@ -175,9 +156,6 @@ func (s *System) cluster(cs clusterSettings) (*Cluster, error) {
 // System exposes the underlying single-device system (pilot training,
 // tracing, runners).
 func (c *Cluster) System() *System { return c.sys }
-
-// GPUs reports the cluster width.
-func (c *Cluster) GPUs() int { return c.gpus }
 
 // TrainPilot trains the shared pilot model; every simulated GPU serves from
 // it afterwards.

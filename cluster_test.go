@@ -30,9 +30,6 @@ func clusterFixture(t *testing.T, opts ...ClusterOption) (*Cluster, []*Sample) {
 // samples (sharding only redistributes work).
 func TestClusterFacadeTrainEpoch(t *testing.T) {
 	c, samples := clusterFixture(t, WithGPUs(2))
-	if c.GPUs() != 2 {
-		t.Fatalf("GPUs() = %d", c.GPUs())
-	}
 	rep, err := c.TrainEpoch(samples)
 	if err != nil {
 		t.Fatal(err)
@@ -101,14 +98,7 @@ func TestClusterFacadeErrors(t *testing.T) {
 	if _, err := NewCluster(nil); !errors.Is(err, ErrModelRequired) {
 		t.Errorf("NewCluster(nil): err = %v, want ErrModelRequired", err)
 	}
-	sys, err := NewSystem(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Cluster(WithSystemOptions(WithWorkers(2))); !errors.Is(err, ErrBadCluster) {
-		t.Errorf("System.Cluster(WithSystemOptions): err = %v, want ErrBadCluster", err)
-	}
-	c, err := sys.Cluster(WithGPUs(2))
+	c, err := NewCluster(model, WithGPUs(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,7 +219,7 @@ func run(exp string, opts expt.Options, sink obsv.Sink, statsJSON, clusterJSON s
 				n = runtime.GOMAXPROCS(0)
 			}
 			var stats []obsv.RunStats
-			tab, stats = expt.ParallelSpeedup(w, n, sink)
+			tab, stats = expt.ParallelEpoch(w, n, sink)
 			if statsJSON != "" {
 				if werr := writeStatsJSON(statsJSON, stats); werr != nil {
 					return werr

@@ -4,18 +4,15 @@
 // (clockunits). Lock copies are go vet's copylocks check. It is pure
 // stdlib — no analysis frameworks, no network.
 //
-// The driver is incremental and parallel: per-package results cache under
-// <module>/.dynnlint keyed by the content hash of the package, its transitive
-// module dependencies, and the analyzer set, so a warm rerun type-checks
-// nothing. Packages type-check and analyze on a bounded worker pool.
+// Every run type-checks the matched packages and their module dependencies
+// afresh; packages type-check and analyze on a GOMAXPROCS-wide worker pool.
 //
 // Usage:
 //
-//	dynnlint ./...                  # whole module (warm cache)
+//	dynnlint ./...                  # whole module
 //	dynnlint ./internal/core        # one package
 //	dynnlint -json ./...            # machine-readable findings
 //	dynnlint -sarif lint.sarif ./...  # SARIF 2.1.0 for code scanning
-//	dynnlint -nocache -jobs 1 ./... # cold, serial
 //	dynnlint -analyzers determinism,clockunits ./...
 //	dynnlint -list                  # describe the analyzers
 //
@@ -41,10 +38,6 @@ func main() {
 		sarifOut  = flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
 		analyzers = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 		list      = flag.Bool("list", false, "list analyzers and exit")
-		nocache   = flag.Bool("nocache", false, "disable the incremental result cache")
-		cacheDir  = flag.String("cachedir", "", "cache directory (default <module>/.dynnlint)")
-		jobs      = flag.Int("jobs", 0, "max parallel type-check/analysis workers (default GOMAXPROCS)")
-		stats     = flag.Bool("stats", false, "print cache/load statistics to stderr")
 	)
 	flag.Parse()
 
@@ -75,22 +68,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := lint.Options{Analyzers: selected, Jobs: *jobs}
-	if !*nocache {
-		opts.CacheDir = *cacheDir
-		if opts.CacheDir == "" {
-			opts.CacheDir = filepath.Join(root, ".dynnlint")
-		}
-	}
-	res, err := lint.Analyze(root, patterns, opts)
+	findings, err := lint.Analyze(root, patterns, selected)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dynnlint:", err)
 		os.Exit(2)
-	}
-	findings := res.Findings
-	if *stats {
-		fmt.Fprintf(os.Stderr, "dynnlint: %d package(s): %d cached, %d analyzed, %d loaded\n",
-			res.Stats.Packages, res.Stats.CacheHits, res.Stats.CacheMisses, res.Stats.LoadedPackages)
 	}
 
 	if *sarifOut != "" {

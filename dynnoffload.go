@@ -339,15 +339,6 @@ var (
 	NewJSONLSink = obsv.NewJSONLSink
 )
 
-// CacheStats reports the runtime's mis-prediction cache counters; the zero
-// value is returned before the pilot is trained.
-func (s *System) CacheStats() core.CacheStats {
-	if s.engine == nil {
-		return core.CacheStats{}
-	}
-	return s.engine.CacheStats()
-}
-
 // Names of the built-in memory-management policies. Resolve one with
 // System.Runner; comparison loops range over RunnerNames().
 const (

@@ -52,13 +52,13 @@ var experiments = []Experiment{
 		Run: func(wb *Workbench, _ Options) (*Table, error) { return MispredHandling(wb) }},
 	{Name: "overhead", Desc: "§VI-F pilot runtime overhead", NeedsWorkbench: true, InAll: true,
 		Run: func(wb *Workbench, _ Options) (*Table, error) { return Overhead(wb) }},
-	{Name: "parallel", Desc: "parallel epoch runtime speedup (CLI wires -stats/-statsjson)", NeedsWorkbench: true,
+	{Name: "parallel", Desc: "parallel epoch determinism: N workers reproduce 1 (CLI wires -stats/-statsjson)", NeedsWorkbench: true,
 		Run: func(wb *Workbench, o Options) (*Table, error) {
 			n := o.Workers
 			if n <= 1 {
 				n = runtime.GOMAXPROCS(0)
 			}
-			tab, _ := ParallelSpeedup(wb, n, nil)
+			tab, _ := ParallelEpoch(wb, n, nil)
 			return tab, nil
 		}},
 	{Name: "faultsweep", Desc: "graceful degradation under fault injection", NeedsWorkbench: true, InAll: true,

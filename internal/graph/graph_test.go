@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -133,14 +132,6 @@ func TestDecisionRange(t *testing.T) {
 	r := s.DecisionRange()
 	if r[0] != 2 || r[1] != 3 {
 		t.Errorf("DecisionRange = %v, want [2 3]", r)
-	}
-}
-
-func TestOpCountProgramOrder(t *testing.T) {
-	s, _ := miniArch(t)
-	// a + (b0 + b1 + b2) + r + z = 6 (all arms counted once, repeat once)
-	if got := s.OpCount(); got != 6 {
-		t.Errorf("OpCount = %d, want 6", got)
 	}
 }
 
@@ -341,19 +332,6 @@ func TestOpBytesDeduplicated(t *testing.T) {
 	}
 }
 
-func TestStatsDistanceProperties(t *testing.T) {
-	f := func(a, b uint16) bool {
-		s1 := Stats{OpCount: int(a)}
-		s2 := Stats{OpCount: int(b)}
-		d12 := StatsDistance(s1, s2)
-		d21 := StatsDistance(s2, s1)
-		return d12 == d21 && d12 >= 0 && StatsDistance(s1, s1) == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestResolveDeterministic(t *testing.T) {
 	s, _ := miniArch(t)
 	f := func(d0raw, d1raw uint8) bool {
@@ -378,30 +356,6 @@ func TestResolveDeterministic(t *testing.T) {
 	}
 }
 
-// OpCount returns the number of operator occurrences in program order (every
-// branch arm counted, repeats counted once), i.e. the number of non-dummy
-// AFM rows.
-func (s *Static) OpCount() int {
-	n := 0
-	var walk func(elems []Elem)
-	walk = func(elems []Elem) {
-		for _, e := range elems {
-			switch v := e.(type) {
-			case OpElem:
-				n++
-			case Branch:
-				for _, arm := range v.Arms {
-					walk(arm)
-				}
-			case Repeat:
-				walk(v.Body)
-			}
-		}
-	}
-	walk(s.Elems)
-	return n
-}
-
 // controlRows returns the indices of the AFM's dummy (control-flow) rows.
 func controlRows(a *AFM) []int {
 	var out []int
@@ -418,18 +372,4 @@ func controlRows(a *AFM) []int {
 		}
 	}
 	return out
-}
-
-// StatsDistance is the summed relative error over operator count and the
-// nine signature aggregates.
-func StatsDistance(a, b Stats) float64 {
-	d := relErr(float64(a.OpCount), float64(b.OpCount))
-	for i := range a.Sig {
-		d += relErr(a.Sig[i], b.Sig[i])
-	}
-	return d
-}
-
-func relErr(a, b float64) float64 {
-	return math.Abs(a-b) / (1 + math.Max(math.Abs(a), math.Abs(b)))
 }

@@ -46,40 +46,19 @@ func Check(err error) bool { return a.IsGone(err) }
 	return root
 }
 
-// TestAnalyzeCacheRoundTrip pins the incremental driver's contract: a cold
-// run analyzes everything, a warm run serves every package from cache with
-// identical findings and loads nothing, and editing a dependency invalidates
-// its importers.
-func TestAnalyzeCacheRoundTrip(t *testing.T) {
+// TestAnalyzeRerunSeesEdits pins the driver's contract: every run analyzes
+// the tree as it stands. The first run finds a's one violation; after an edit
+// to a adds a second, the next run finds both.
+func TestAnalyzeRerunSeesEdits(t *testing.T) {
 	root := writeTempModule(t)
-	opts := Options{CacheDir: filepath.Join(root, ".cache"), Jobs: 2}
-
-	cold, err := Analyze(root, []string{"./..."}, opts)
+	first, err := Analyze(root, []string{"./..."}, All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Stats.Packages != 2 || cold.Stats.CacheMisses != 2 || cold.Stats.CacheHits != 0 {
-		t.Fatalf("cold stats = %+v, want 2 packages, 2 misses", cold.Stats)
-	}
-	if cold.Stats.LoadedPackages != 2 {
-		t.Fatalf("cold loaded %d packages, want 2", cold.Stats.LoadedPackages)
-	}
-	if len(cold.Findings) != 1 || cold.Findings[0].Analyzer != "errdiscipline" {
-		t.Fatalf("cold findings = %v", cold.Findings)
+	if len(first) != 1 || first[0].Analyzer != "errdiscipline" {
+		t.Fatalf("first run findings = %v, want 1 errdiscipline", first)
 	}
 
-	warm, err := Analyze(root, []string{"./..."}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Stats.CacheHits != 2 || warm.Stats.CacheMisses != 0 || warm.Stats.LoadedPackages != 0 {
-		t.Fatalf("warm stats = %+v, want 2 hits, 0 misses, 0 loaded", warm.Stats)
-	}
-	if len(warm.Findings) != 1 || warm.Findings[0].String() != cold.Findings[0].String() {
-		t.Fatalf("warm findings = %v, want %v", warm.Findings, cold.Findings)
-	}
-
-	// Editing a invalidates both a and its importer b.
 	an := filepath.Join(root, "a", "a.go")
 	src, err := os.ReadFile(an)
 	if err != nil {
@@ -93,59 +72,12 @@ func TestAnalyzeCacheRoundTrip(t *testing.T) {
 	if err := os.WriteFile(an, []byte(edited), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	inval, err := Analyze(root, []string{"./..."}, opts)
+	second, err := Analyze(root, []string{"./..."}, All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inval.Stats.CacheMisses != 2 {
-		t.Fatalf("post-edit stats = %+v, want 2 misses (dep invalidation)", inval.Stats)
-	}
-	if len(inval.Findings) != 2 {
-		t.Fatalf("post-edit findings = %v, want 2", inval.Findings)
-	}
-}
-
-// TestAnalyzeSinglePackageInvalidation edits only the leaf importer: the
-// dependency stays cached, the importer re-analyzes.
-func TestAnalyzeSinglePackageInvalidation(t *testing.T) {
-	root := writeTempModule(t)
-	opts := Options{CacheDir: filepath.Join(root, ".cache")}
-	if _, err := Analyze(root, []string{"./..."}, opts); err != nil {
-		t.Fatal(err)
-	}
-	bn := filepath.Join(root, "b", "b.go")
-	src, _ := os.ReadFile(bn)
-	if err := os.WriteFile(bn, append(src, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Analyze(root, []string{"./..."}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.CacheHits != 1 || res.Stats.CacheMisses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit (a) and 1 miss (b)", res.Stats)
-	}
-	// b's re-check still needs a's types: a loads but is not re-analyzed.
-	if res.Stats.LoadedPackages != 2 {
-		t.Fatalf("loaded %d, want 2 (miss plus its dep)", res.Stats.LoadedPackages)
-	}
-}
-
-// TestAnalyzeNoCache runs the driver with caching disabled: every run is a
-// full analysis and no cache directory appears.
-func TestAnalyzeNoCache(t *testing.T) {
-	root := writeTempModule(t)
-	for i := 0; i < 2; i++ {
-		res, err := Analyze(root, []string{"./..."}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.CacheHits != 0 || res.Stats.CacheMisses != 2 {
-			t.Fatalf("run %d stats = %+v, want all misses", i, res.Stats)
-		}
-		if len(res.Findings) != 1 {
-			t.Fatalf("run %d findings = %v", i, res.Findings)
-		}
+	if len(second) != 2 {
+		t.Fatalf("post-edit findings = %v, want 2", second)
 	}
 }
 
@@ -174,12 +106,12 @@ func TestAnalyzeHonorsBuildConstraints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := Analyze(root, []string{"./..."}, Options{})
+	findings, err := Analyze(root, []string{"./..."}, All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Findings) != 0 {
-		t.Fatalf("findings from files the build excludes: %v", res.Findings)
+	if len(findings) != 0 {
+		t.Fatalf("findings from files the build excludes: %v", findings)
 	}
 }
 

@@ -7,55 +7,58 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
-	"strings"
 	"testing"
 )
 
-// TestExportsHaveCallers keeps the module's internal API honest: every
-// exported function or method declared in an internal/ package must have a
-// caller in the module's non-test code, or implement an interface method. A
-// function that only its tests call belongs in a _test.go file.
+// TestExportsHaveCallers keeps the module free of dead code: every function
+// or method the module declares, exported or not, must have a caller in the
+// module's non-test code or implement an interface method. A function that
+// only its tests call belongs in a _test.go file. main and init need no
+// caller. A nested module (a directory below the root with its own go.mod,
+// such as perfbench/) is loaded as a caller only: its calls count, its own
+// functions are not checked.
 //
-// This is a whole-module test and not a dynnlint analyzer on purpose: the
-// driver's cache key (keyOf) covers a package's own files and its
-// dependencies, not its importers, so a per-package analyzer would keep
-// serving a cached "no finding" after an importer drops the last call.
+// This is a test and not a dynnlint analyzer because a function's callers
+// may sit in any package: the rule needs the whole module's uses at once,
+// while an analyzer sees one package at a time.
 func TestExportsHaveCallers(t *testing.T) {
-	for _, msg := range uncalledExports(t, moduleRoot) {
+	for _, msg := range uncalledFuncs(t, moduleRoot) {
 		t.Error(msg)
 	}
 }
 
 // TestUncalledExportsFixture checks the guard on a planted module: it flags
-// the one export nothing calls, and none that a caller reaches by a direct
-// call, a generic instantiation, fmt's %v verb (String) or errors.Is
-// (Unwrap).
+// the exported and the unexported function nothing calls, and none that a
+// caller reaches by a direct call, a generic instantiation, fmt's %v verb
+// (String), errors.Is (Unwrap) or a call from the nested module tool/. The
+// nested module's own uncalled function is not flagged.
 func TestUncalledExportsFixture(t *testing.T) {
-	got := uncalledExports(t, filepath.Join("testdata", "src", "exports"))
-	if len(got) != 1 || !strings.Contains(got[0], "lib.go:21: fixture/internal/lib.Planted ") {
-		t.Errorf("findings = %q, want exactly lib.go:21: fixture/internal/lib.Planted", got)
+	got := uncalledFuncs(t, filepath.Join("testdata", "src", "exports"))
+	want := []string{
+		"lib.go:21: fixture/internal/lib.Planted has no caller outside tests",
+		"lib.go:24: fixture/internal/lib.planted has no caller outside tests",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("findings = %q, want %q", got, want)
 	}
 }
 
-// uncalledExports loads every non-test package of the module rooted at root,
-// as dynnlint ./... does, and returns "file:line: name" for each exported
-// function or method of an internal/ package that no types.Info.Uses entry
-// references and that implements no interface method.
-func uncalledExports(t *testing.T, root string) []string {
+// uncalledFuncs loads every non-test package of the module rooted at root,
+// as dynnlint ./... does, and returns "file:line: name" for each function or
+// method outside nested modules, other than main and init, that no
+// types.Info.Uses entry references and that implements no interface method.
+func uncalledFuncs(t *testing.T, root string) []string {
 	t.Helper()
 	sc, err := scanModule(root, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	need := map[string]bool{}
-	for _, path := range sc.order {
-		need[path] = true
-	}
 	l := NewLoader()
-	if err := checkParallel(l, sc, need, runtime.GOMAXPROCS(0)); err != nil {
+	if err := checkParallel(l, sc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,7 +83,7 @@ func uncalledExports(t *testing.T, root string) []string {
 			})
 		}
 		for _, imp := range pkg.Types.Imports() {
-			if _, own := need[imp.Path()]; !own {
+			if _, own := sc.dirs[imp.Path()]; !own {
 				imported[imp] = true
 			}
 		}
@@ -101,18 +104,20 @@ func uncalledExports(t *testing.T, root string) []string {
 	}
 	var out []string
 	for _, pkg := range pkgs {
-		if !strings.Contains(pkg.Path+"/", "/internal/") {
+		if inNestedModule(root, pkg.Dir) {
 			continue
 		}
 		for _, obj := range pkg.Info.Defs {
 			fn, ok := obj.(*types.Func)
-			if !ok || !fn.Exported() || used[fn] {
+			if !ok || used[fn] {
 				continue
 			}
-			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-				if types.IsInterface(recv.Type()) || implements(fn) {
+			if recv := fn.Type().(*types.Signature).Recv(); recv == nil {
+				if fn.Name() == "main" || fn.Name() == "init" {
 					continue
 				}
+			} else if types.IsInterface(recv.Type()) || implements(fn) {
+				continue
 			}
 			pos := pkg.Fset.Position(fn.Pos())
 			out = append(out, fmt.Sprintf("%s:%d: %s has no caller outside tests", filepath.Base(pos.Filename), pos.Line, fn.FullName()))
@@ -120,6 +125,22 @@ func uncalledExports(t *testing.T, root string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// inNestedModule reports whether dir, a directory of the module rooted at
+// root, lies in a nested module: some directory from dir up to but not
+// including root holds a go.mod.
+func inNestedModule(root, dir string) bool {
+	rel, err := filepath.Rel(root, dir)
+	if err != nil {
+		return false
+	}
+	for ; rel != "."; rel = filepath.Dir(rel) {
+		if _, err := os.Stat(filepath.Join(root, rel, "go.mod")); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // importedInterfaces returns the interfaces a package outside the module

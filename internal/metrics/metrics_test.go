@@ -38,15 +38,6 @@ func TestJaccardProperties(t *testing.T) {
 	}
 }
 
-func TestJaccardGeneralized(t *testing.T) {
-	if d := JaccardGeneralized([]int{1, 2, 3}, []int{1, 2, 4}); math.Abs(d-1.0/3) > 1e-12 {
-		t.Errorf("got %v, want 1/3", d)
-	}
-	if JaccardGeneralized(nil, nil) != 0 {
-		t.Error("empty vectors must have distance 0")
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{2, 4, 6, 8}
@@ -122,24 +113,4 @@ func TestPercentileInterpolation(t *testing.T) {
 	if math.Abs(s.P90-9) > 1e-12 {
 		t.Errorf("P90 = %v, want 9", s.P90)
 	}
-}
-
-// JaccardGeneralized returns the Jaccard distance treating each position as
-// a set element with a categorical value: positions disagreeing count
-// against similarity. This matches "each element indicates if a specific
-// control flow is taken or not" for multi-way decisions.
-func JaccardGeneralized(a, b []int) float64 {
-	if len(a) != len(b) {
-		panic("metrics: JaccardGeneralized length mismatch")
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	same := 0
-	for i := range a {
-		if a[i] == b[i] {
-			same++
-		}
-	}
-	return 1 - float64(same)/float64(len(a))
 }

@@ -60,20 +60,17 @@ func TestFacadeServeDigests(t *testing.T) {
 	corpus := GenerateSamples(5, 260, 8, 48)
 	got := map[string]string{}
 	for _, fc := range facadeDigestFaults {
-		sys, err := NewSystem(model,
+		c, err := NewCluster(model, WithSystemOptions(
 			WithMemoryPressure(0.5),
 			WithPilotConfig(PilotConfig{Neurons: 48, Epochs: 6, Seed: 3}),
 			WithFaultInjection(fc),
 			WithWorkers(2),
-		)
+		))
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys := c.System()
 		if _, err := sys.TrainPilot(corpus[:200]); err != nil {
-			t.Fatal(err)
-		}
-		c, err := sys.Cluster()
-		if err != nil {
 			t.Fatal(err)
 		}
 		half := sys.Platform().GPU.MemBytes / 2

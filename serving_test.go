@@ -54,7 +54,7 @@ func TestSystemServe(t *testing.T) {
 	}
 
 	// Serving must not touch the training engine's cache state.
-	if s := sys.CacheStats(); s.Hits != 0 || s.Inserts != 0 {
+	if s := sys.engine.CacheStats(); s.Hits != 0 || s.Inserts != 0 {
 		t.Errorf("serving leaked into the training engine cache: %+v", s)
 	}
 }
